@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "conf/generator.h"
@@ -18,7 +17,6 @@
 #include "ga/ga.h"
 #include "ml/boosting.h"
 #include "ml/flat_ensemble.h"
-#include "ml/simd.h"
 #include "sparksim/simulator.h"
 #include "workloads/registry.h"
 
@@ -194,36 +192,25 @@ BM_ModelPredictCompiled(benchmark::State &state)
 }
 BENCHMARK(BM_ModelPredictCompiled);
 
-/** The same compiled query pinned to one walk kernel; rows register
- *  per ISA the build+CPU supports (BM_ModelPredictKernel/<kernel>). */
+/** A single-row FlatEnsemble walk: predictSerial or predict. */
+using Walk = double (ml::FlatEnsemble::*)(const double *, size_t) const;
+
+/** The same compiled query on the serial reference walk and on the
+ *  blocked walk (BM_ModelPredictKernel/{serial,scalar}). */
 void
-modelPredictKernel(benchmark::State &state, ml::simd::Kernel kernel)
+BM_ModelPredictKernel(benchmark::State &state, Walk walk)
 {
     const TrainedModel &tm = trainedModel();
     for (auto _ : state) {
-        benchmark::DoNotOptimize(tm.flat->predictWith(
-            kernel, tm.features.data(), tm.features.size()));
+        benchmark::DoNotOptimize(
+            ((*tm.flat).*walk)(tm.features.data(), tm.features.size()));
     }
     state.SetItemsProcessed(state.iterations());
 }
-
-void
-registerKernelRows()
-{
-    using ml::simd::Kernel;
-    for (const Kernel k : {Kernel::Serial, Kernel::Scalar, Kernel::Avx2,
-                           Kernel::Neon}) {
-        if (!ml::simd::kernelSupported(k))
-            continue;
-        benchmark::RegisterBenchmark(
-            (std::string("BM_ModelPredictKernel/") +
-             ml::simd::kernelName(k))
-                .c_str(),
-            [k](benchmark::State &state) {
-                modelPredictKernel(state, k);
-            });
-    }
-}
+BENCHMARK_CAPTURE(BM_ModelPredictKernel, serial,
+                  &ml::FlatEnsemble::predictSerial);
+BENCHMARK_CAPTURE(BM_ModelPredictKernel, scalar,
+                  &ml::FlatEnsemble::predict);
 
 void
 BM_GaGeneration(benchmark::State &state)
@@ -246,14 +233,4 @@ BENCHMARK(BM_GaGeneration);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    registerKernelRows();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -6,26 +6,23 @@
  * consumer the compilation exists for (populationSize x generations
  * model queries per tune request, Section 3.3).
  *
- * Per-ISA rows (BM_PredictKernel/<kernel>, BM_PredictBatchKernel/
- * <kernel>/N) are registered at startup for every walk kernel this
- * build+CPU supports, so one JSON run carries the serial baseline,
- * the blocked scalar walk, and the vector kernels side by side — the
- * numbers EXPERIMENTS.md section "SIMD kernels" quotes, and what the
- * perf-smoke gate pins. Every inference row reports predictions/s via
- * items_per_second.
+ * BM_PredictKernel/serial and BM_PredictKernel/scalar put the serial
+ * reference walk and the blocked walk side by side in one JSON run —
+ * the numbers EXPERIMENTS.md section "SIMD kernels" quotes, and what
+ * the perf-smoke gate pins. Every inference row reports predictions/s
+ * via items_per_second.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "ga/ga.h"
 #include "ml/flat_ensemble.h"
 #include "ml/hm.h"
 #include "ml/log_target.h"
-#include "ml/simd.h"
 #include "support/random.h"
 
 namespace {
@@ -139,70 +136,25 @@ BM_PredictBatchCompiled(benchmark::State &state)
 }
 BENCHMARK(BM_PredictBatchCompiled)->Arg(50)->Arg(200)->Arg(1000);
 
-/** Single-query walk pinned to one kernel (predictWith). */
+/** A single-row FlatEnsemble walk: predictSerial or predict. */
+using Walk = double (ml::FlatEnsemble::*)(const double *, size_t) const;
+
+/** Single-query walk: serial reference vs blocked. */
 void
-predictKernel(benchmark::State &state, ml::simd::Kernel kernel)
+BM_PredictKernel(benchmark::State &state, Walk walk)
 {
     const auto &pool = queryPool();
     size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            compiled().predictWith(kernel, pool[i].data(), kFeatures));
+            (compiled().*walk)(pool[i].data(), kFeatures));
         i = (i + 1) % pool.size();
     }
     state.SetItemsProcessed(state.iterations());
 }
-
-/**
- * Batched walk pinned to one kernel: forceKernel routes predictBatch
- * (and its row-interleaved scalar path) exactly as a DAC_SIMD
- * override would, then the previous selection is restored so later
- * benchmarks see the environment's choice.
- */
-void
-predictBatchKernel(benchmark::State &state, ml::simd::Kernel kernel,
-                   size_t count)
-{
-    Rng rng(2);
-    std::vector<double> rows(count * kFeatures);
-    for (double &v : rows)
-        v = rng.uniform();
-    std::vector<double> out(count);
-    const ml::simd::Kernel previous = ml::simd::active();
-    ml::simd::forceKernel(kernel);
-    for (auto _ : state) {
-        compiled().predictBatch(rows.data(), kFeatures, count,
-                                out.data());
-        benchmark::DoNotOptimize(out.data());
-    }
-    ml::simd::forceKernel(previous);
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(count));
-}
-
-/** Register the per-ISA rows for every kernel this build+CPU runs. */
-void
-registerKernelRows()
-{
-    using ml::simd::Kernel;
-    constexpr size_t kBatch = 1000;
-    for (const Kernel k : {Kernel::Serial, Kernel::Scalar, Kernel::Avx2,
-                           Kernel::Neon}) {
-        if (!ml::simd::kernelSupported(k))
-            continue;
-        const std::string name = ml::simd::kernelName(k);
-        benchmark::RegisterBenchmark(
-            ("BM_PredictKernel/" + name).c_str(),
-            [k](benchmark::State &state) { predictKernel(state, k); });
-        benchmark::RegisterBenchmark(
-            ("BM_PredictBatchKernel/" + name + "/" +
-             std::to_string(kBatch))
-                .c_str(),
-            [k](benchmark::State &state) {
-                predictBatchKernel(state, k, kBatch);
-            });
-    }
-}
+BENCHMARK_CAPTURE(BM_PredictKernel, serial,
+                  &ml::FlatEnsemble::predictSerial);
+BENCHMARK_CAPTURE(BM_PredictKernel, scalar, &ml::FlatEnsemble::predict);
 
 /** 10 GA generations, scoring through the interpreted model. */
 void
@@ -222,13 +174,19 @@ BM_GaSearchInterpreted(benchmark::State &state)
 }
 BENCHMARK(BM_GaSearchInterpreted);
 
-/** The same 10 generations, scored through FlatEnsemble batches. */
+/** The same 10 generations, scored through FlatEnsemble batches of
+ *  packed rows, the way dac::Searcher feeds them. */
 void
 BM_GaSearchCompiled(benchmark::State &state)
 {
+    std::vector<double> rows;
     auto batch = [&](const double *const *genomes, size_t count,
                      double *fitness) {
-        compiled().predictBatch(genomes, count, kFeatures, fitness);
+        rows.resize(count * kFeatures);
+        for (size_t i = 0; i < count; ++i)
+            std::copy(genomes[i], genomes[i] + kFeatures,
+                      rows.data() + i * kFeatures);
+        compiled().predictBatch(rows.data(), kFeatures, count, fitness);
     };
     for (auto _ : state) {
         ga::GaParams p;
@@ -254,7 +212,6 @@ main(int argc, char **argv)
     // satisfy min_time and be reported as the row's result.
     compiled();
     queryPool();
-    registerKernelRows();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

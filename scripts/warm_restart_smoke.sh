@@ -8,7 +8,7 @@
 # FIRST post-restart request — the warm restart actually warmed.
 #
 # Along the way every persisted file must pass `dac_snap verify --deep`
-# (bit-identity across kernels + re-encode idempotence on disk bytes).
+# (bit-identity across both walks + re-encode idempotence on disk bytes).
 #
 # Usage: scripts/warm_restart_smoke.sh [BUILD_DIR]   (default: build)
 # Exit: 0 on success, nonzero with a message on any failed invariant.

@@ -28,7 +28,7 @@ FlatEnsemble::appendMember(double weight, double baseline,
     std::vector<int32_t> new_index;
 
     for (const RegressionTree &tree : trees) {
-        const int32_t base = static_cast<int32_t>(feature.size());
+        const int32_t base = static_cast<int32_t>(nodes.size());
         roots.push_back(base);
 
         order.clear();
@@ -50,10 +50,10 @@ FlatEnsemble::appendMember(double weight, double baseline,
             const auto &node =
                 tree.nodes[static_cast<size_t>(order[i])];
             if (node.feature >= 0) {
-                feature.push_back(node.feature);
-                threshold.push_back(node.threshold);
-                leftChild.push_back(
-                    base + new_index[static_cast<size_t>(node.left)]);
+                nodes.push_back(PackedNode{
+                    node.feature,
+                    base + new_index[static_cast<size_t>(node.left)],
+                    node.threshold});
                 leafValue.push_back(0.0);
                 minFeatures = std::max(
                     minFeatures, static_cast<size_t>(node.feature) + 1);
@@ -71,15 +71,11 @@ FlatEnsemble::appendMember(double weight, double baseline,
                 // node 0. x[0] is readable whenever a padded step can
                 // occur, since a deeper sibling tree implies a split
                 // node and hence minFeatures >= 1.)
-                feature.push_back(0);
-                threshold.push_back(
-                    std::numeric_limits<double>::quiet_NaN());
-                leftChild.push_back(base + static_cast<int32_t>(i) - 1);
+                nodes.push_back(PackedNode{
+                    0, base + static_cast<int32_t>(i) - 1,
+                    std::numeric_limits<double>::quiet_NaN()});
                 leafValue.push_back(leaf_scale * node.value);
             }
-            packed.push_back(PackedNode{feature.back(),
-                                        leftChild.back(),
-                                        threshold.back()});
         }
         depths.push_back(treeDepth(tree));
     }
@@ -142,14 +138,6 @@ FlatEnsemble::appendMember(double weight, double baseline,
     member.segmentCount =
         static_cast<uint32_t>(segments.size()) - member.firstSegment;
     members.push_back(member);
-
-    // The gather kernels index these arrays by vector lanes; the
-    // aligned allocator guarantees 32-byte bases (growth included).
-    DAC_ASSERT(isAligned(packed.data()) && isAligned(threshold.data()) &&
-                   isAligned(leftChild.data()) &&
-                   isAligned(feature.data()) &&
-                   isAligned(leafValue.data()),
-               "gather-indexed arrays must be 32-byte aligned");
 }
 
 int32_t
@@ -174,7 +162,7 @@ FlatEnsemble::treeDepth(const RegressionTree &tree)
 double
 FlatEnsemble::predictRaw(const double *x) const
 {
-    const PackedNode *node = packed.data();
+    const PackedNode *node = nodes.data();
     const double *val = leafValue.data();
     const int32_t *root = roots.data();
     const int32_t *slot = slotOf.data();
@@ -237,7 +225,7 @@ void
 FlatEnsemble::walkScalarRows(const double *const *rows,
                              double *outs) const
 {
-    const PackedNode *node = packed.data();
+    const PackedNode *node = nodes.data();
     const double *val = leafValue.data();
     const int32_t *root = roots.data();
     const int32_t *slot = slotOf.data();
@@ -307,15 +295,15 @@ FlatEnsemble::walkScalarRows(const double *const *rows,
 double
 FlatEnsemble::walkSerial(const double *x) const
 {
-    const PackedNode *node = packed.data();
+    const PackedNode *node = nodes.data();
     const double *val = leafValue.data();
     const int32_t *root = roots.data();
     const int32_t *slot = slotOf.data();
 
-    // The reference kernel: every tree walks its own serial pointer
+    // The reference walk: every tree walks its own serial pointer
     // chain, one at a time — the latency-bound baseline the blocked
-    // and vector kernels are measured against. Same step, same
-    // scratch, same accumulation order: same bits.
+    // walk is measured against. Same step, same scratch, same
+    // accumulation order: same bits.
     double out = 0.0;
     for (const Member &m : members) {
         double acc = m.baseline;
@@ -340,30 +328,11 @@ FlatEnsemble::walkSerial(const double *x) const
 }
 
 double
-FlatEnsemble::predictRawWith(simd::Kernel kernel, const double *x) const
-{
-#if defined(__x86_64__) || defined(_M_X64)
-    if (kernel == simd::Kernel::Avx2)
-        return walkAvx2(x);
-#endif
-#if defined(__aarch64__)
-    if (kernel == simd::Kernel::Neon)
-        return walkNeon(x);
-#endif
-    if (kernel == simd::Kernel::Serial)
-        return walkSerial(x);
-    return predictRaw(x);
-}
-
-double
-FlatEnsemble::predictWith(simd::Kernel kernel, const double *x,
-                          size_t n) const
+FlatEnsemble::predictSerial(const double *x, size_t n) const
 {
     DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
     DAC_ASSERT(n >= minFeatures, "feature vector too short");
-    DAC_ASSERT(simd::kernelSupported(kernel),
-               "predictWith on an unsupported kernel");
-    const double raw = predictRawWith(kernel, x);
+    const double raw = walkSerial(x);
     return applyExp ? std::exp(raw) : raw;
 }
 
@@ -372,7 +341,7 @@ FlatEnsemble::predict(const double *x, size_t n) const
 {
     DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
     DAC_ASSERT(n >= minFeatures, "feature vector too short");
-    const double raw = predictRawWith(simd::active(), x);
+    const double raw = predictRaw(x);
     return applyExp ? std::exp(raw) : raw;
 }
 
@@ -384,47 +353,10 @@ FlatEnsemble::predict(const std::vector<double> &x) const
 
 namespace {
 
-/** Rows the scalar batch kernel interleaves per walk. */
+/** Rows the batch walk interleaves per chunk. */
 constexpr size_t kBatchRows = 16;
 
 } // namespace
-
-void
-FlatEnsemble::predictBatch(const double *const *rows, size_t count,
-                           size_t row_len, double *out,
-                           Executor *executor) const
-{
-    DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
-    DAC_ASSERT(row_len >= minFeatures, "feature rows too short");
-    // One kernel decision per batch, hoisted out of the row loop.
-    const simd::Kernel kernel = simd::active();
-    if (kernel == simd::Kernel::Scalar) {
-        // Row-interleaved scalar walk: each task walks kBatchRows
-        // rows through the blocks together. Per-row bits match the
-        // single-row walk exactly, so chunking is invisible.
-        const size_t chunks = (count + kBatchRows - 1) / kBatchRows;
-        parallelFor(executor, chunks, [&](size_t c) {
-            const size_t first = c * kBatchRows;
-            if (first + kBatchRows <= count) {
-                double raw[kBatchRows];
-                walkScalarRows<kBatchRows>(rows + first, raw);
-                for (size_t r = 0; r < kBatchRows; ++r)
-                    out[first + r] =
-                        applyExp ? std::exp(raw[r]) : raw[r];
-            } else {
-                for (size_t i = first; i < count; ++i) {
-                    const double raw = predictRaw(rows[i]);
-                    out[i] = applyExp ? std::exp(raw) : raw;
-                }
-            }
-        });
-        return;
-    }
-    parallelFor(executor, count, [&](size_t i) {
-        const double raw = predictRawWith(kernel, rows[i]);
-        out[i] = applyExp ? std::exp(raw) : raw;
-    });
-}
 
 void
 FlatEnsemble::predictBatch(const double *rows, size_t row_stride,
@@ -433,32 +365,26 @@ FlatEnsemble::predictBatch(const double *rows, size_t row_stride,
 {
     DAC_ASSERT(!members.empty(), "predict on an empty ensemble");
     DAC_ASSERT(row_stride >= minFeatures, "row stride too short");
-    const simd::Kernel kernel = simd::active();
-    if (kernel == simd::Kernel::Scalar) {
-        const size_t chunks = (count + kBatchRows - 1) / kBatchRows;
-        parallelFor(executor, chunks, [&](size_t c) {
-            const size_t first = c * kBatchRows;
-            if (first + kBatchRows <= count) {
-                const double *ptrs[kBatchRows];
-                for (size_t r = 0; r < kBatchRows; ++r)
-                    ptrs[r] = rows + (first + r) * row_stride;
-                double raw[kBatchRows];
-                walkScalarRows<kBatchRows>(ptrs, raw);
-                for (size_t r = 0; r < kBatchRows; ++r)
-                    out[first + r] =
-                        applyExp ? std::exp(raw[r]) : raw[r];
-            } else {
-                for (size_t i = first; i < count; ++i) {
-                    const double raw = predictRaw(rows + i * row_stride);
-                    out[i] = applyExp ? std::exp(raw) : raw;
-                }
+    // Row-interleaved walk: each task walks kBatchRows rows through the
+    // blocks together. Per-row bits match the single-row walk exactly,
+    // so chunking is invisible.
+    const size_t chunks = (count + kBatchRows - 1) / kBatchRows;
+    parallelFor(executor, chunks, [&](size_t c) {
+        const size_t first = c * kBatchRows;
+        if (first + kBatchRows <= count) {
+            const double *ptrs[kBatchRows];
+            for (size_t r = 0; r < kBatchRows; ++r)
+                ptrs[r] = rows + (first + r) * row_stride;
+            double raw[kBatchRows];
+            walkScalarRows<kBatchRows>(ptrs, raw);
+            for (size_t r = 0; r < kBatchRows; ++r)
+                out[first + r] = applyExp ? std::exp(raw[r]) : raw[r];
+        } else {
+            for (size_t i = first; i < count; ++i) {
+                const double raw = predictRaw(rows + i * row_stride);
+                out[i] = applyExp ? std::exp(raw) : raw;
             }
-        });
-        return;
-    }
-    parallelFor(executor, count, [&](size_t i) {
-        const double raw = predictRawWith(kernel, rows + i * row_stride);
-        out[i] = applyExp ? std::exp(raw) : raw;
+        }
     });
 }
 

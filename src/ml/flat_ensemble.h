@@ -7,40 +7,37 @@
  * ~microseconds). The interpreted path walks a pointer-rich object
  * graph — HierarchicalModel -> GradientBoost -> RegressionTree ->
  * vector<Node> — with a virtual call and a bounds assert per hop. A
- * FlatEnsemble is the same trained model flattened once into
- * contiguous structure-of-arrays node storage (feature / threshold /
- * left / right), with per-tree learning rates folded into the leaf
- * values at compile time, so a prediction is a handful of tight array
- * walks with one assert per query.
+ * FlatEnsemble is the same trained model flattened once into one
+ * contiguous array of 16-byte {feature, leftChild, threshold} node
+ * records plus a parallel leaf-value array, with per-tree learning
+ * rates folded into the leaf values at compile time, so a prediction
+ * is a handful of tight array walks with one assert per query.
  *
- * The walk itself is vectorized: at compile time trees are sorted by
- * depth inside fixed-size segments and grouped into blocks of eight
- * structurally-similar lanes (the population-blocked layout — equal
- * depths mean the lock-step walk pads almost nothing, and each block
- * precomputes its step count so no per-query depth scan remains).
- * Node records are packed into a 16-byte interleaved {feature,
- * leftChild, threshold} array on 32-byte-aligned storage, so a walk
- * step costs two loads instead of four. Per-block kernels — a serial
- * reference, the portable lock-step scalar walk, AVX2 gather, NEON —
- * walk a block's lanes together. Kernel choice is a one-time runtime
- * decision (cpuid + the DAC_SIMD override; see ml/simd.h), reaching
- * every caller through the same predict/predictBatch entry points.
+ * At compile time trees are sorted by depth inside fixed-size
+ * segments and grouped into blocks of eight structurally-similar
+ * lanes (the population-blocked layout — equal depths mean the
+ * lock-step walk pads almost nothing, and each block precomputes its
+ * step count so no per-query depth scan remains). Two walks read that
+ * one layout: the blocked walk behind predict/predictBatch, which
+ * advances a block's eight trees (and, in a batch, sixteen rows) in
+ * lock-step so their load chains overlap, and the serial reference
+ * walk behind predictSerial, one tree chain at a time.
  *
  * Determinism contract: predict() returns EXACTLY (bit-for-bit) what
- * the interpreted Model::predict returns, on EVERY kernel. Folding
- * keeps that exact: lr * leaf is the same product whether computed at
- * compile time or per query, and per-member accumulation (acc =
- * baseline + sum of scaled leaves; out += weight * acc) reproduces
- * the interpreted operation order. The vector kernels only ever
- * vectorize the index walk — integer arithmetic plus the exact
- * comparison x <= t, which has one correct answer per lane — while
- * leaf values still accumulate scalar, one tree at a time in the
- * ORIGINAL tree order: the depth-sorted walk parks each lane's leaf
- * index in a per-segment scratch slot keyed by the tree's original
- * position, and the accumulation pass reads the scratch back in that
- * order. Member weights are deliberately NOT folded into the leaves:
- * distributing weight * (baseline + sum) over the sum would re-round
- * differently. See DESIGN.md sections 9 and 14.
+ * the interpreted Model::predict returns, and so does every other
+ * entry point. Folding keeps that exact: lr * leaf is the same
+ * product whether computed at compile time or per query, and
+ * per-member accumulation (acc = baseline + sum of scaled leaves;
+ * out += weight * acc) reproduces the interpreted operation order.
+ * The walks differ only in the order they advance node indices —
+ * integer arithmetic plus the exact comparison x <= t, which has one
+ * correct answer per lane — while leaf values accumulate one tree at
+ * a time in the ORIGINAL tree order: the depth-sorted walk parks each
+ * lane's leaf index in a per-segment scratch slot keyed by the tree's
+ * original position, and the accumulation pass reads the scratch back
+ * in that order. Member weights are deliberately NOT folded into the
+ * leaves: distributing weight * (baseline + sum) over the sum would
+ * re-round differently. See DESIGN.md sections 9 and 14.
  */
 
 #ifndef DAC_ML_FLAT_ENSEMBLE_H
@@ -49,8 +46,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ml/simd.h"
-#include "support/aligned.h"
 #include "support/executor.h"
 
 namespace dac::persist {
@@ -62,7 +57,7 @@ namespace dac::ml {
 class RegressionTree;
 
 /**
- * A trained tree ensemble compiled to contiguous SoA arrays.
+ * A trained tree ensemble compiled to one contiguous node array.
  *
  * Built via Model::compile() (supported by GradientBoost,
  * HierarchicalModel, and LogTargetModel wrappers thereof). Immutable
@@ -82,37 +77,28 @@ class FlatEnsemble
     double predict(const std::vector<double> &x) const;
 
     /**
-     * Predict `count` rows given as an array of row pointers, each at
-     * least `row_len` doubles, into out[0..count). Rows are scored
-     * through `executor` when provided (results are identical either
-     * way; each row's score is independent).
-     */
-    void predictBatch(const double *const *rows, size_t count,
-                      size_t row_len, double *out,
-                      Executor *executor = nullptr) const;
-
-    /**
      * Predict `count` rows packed contiguously with `row_stride`
-     * doubles between row starts (row_stride >= minFeatureCount()).
+     * doubles between row starts (row_stride >= minFeatureCount())
+     * into out[0..count). Rows are scored through `executor` when
+     * provided (results are identical either way; each row's score is
+     * independent).
      */
     void predictBatch(const double *rows, size_t row_stride, size_t count,
                       double *out, Executor *executor = nullptr) const;
 
     /**
-     * Predict one row with an explicitly chosen kernel, bypassing the
-     * process-wide simd::active() selection. All kernels return the
-     * same bits; tests and per-ISA benchmarks use this to compare
-     * them. Requesting a kernel this build/CPU lacks is a caller bug.
+     * Predict one row with the serial reference walk: one tree chain
+     * at a time, no lock-step blocking. Same bits as predict(); tests,
+     * benchmarks and `dac_snap verify --deep` compare the two walks.
      */
-    double predictWith(simd::Kernel kernel, const double *x,
-                       size_t n) const;
+    double predictSerial(const double *x, size_t n) const;
 
     /** First-order models in the compiled combination. */
     size_t memberCount() const { return members.size(); }
     /** Total trees across all members. */
     size_t treeCount() const { return roots.size(); }
     /** Total nodes across all trees. */
-    size_t nodeCount() const { return feature.size(); }
+    size_t nodeCount() const { return nodes.size(); }
     /** Lock-step walk blocks across all members (<= 8 trees each). */
     size_t blockCount() const { return blocks.size(); }
     /** Feature vectors must carry at least this many doubles. */
@@ -137,17 +123,14 @@ class FlatEnsemble
                       const std::vector<RegressionTree> &trees,
                       double leaf_scale);
 
-    /** Walk every member/tree with the lock-step scalar kernel; no
-     *  exp, no asserts. The always-on fallback. */
+    /** Walk every member/tree with the blocked lock-step walk; no
+     *  exp, no asserts. */
     double predictRaw(const double *x) const;
 
     /** Reference walk: one tree at a time, one serial pointer chain
-     *  each — the textbook scalar baseline the vectorized kernels are
-     *  measured against (Kernel::Serial). Same bits as predictRaw. */
+     *  each — the textbook baseline the blocked walk is measured
+     *  against. Same bits as predictRaw. */
     double walkSerial(const double *x) const;
-
-    /** predictRaw routed through `kernel`; same bits on every path. */
-    double predictRawWith(simd::Kernel kernel, const double *x) const;
 
     /**
      * Walk R rows through every block together (R * 8 interleaved
@@ -159,17 +142,6 @@ class FlatEnsemble
      */
     template <int R>
     void walkScalarRows(const double *const *rows, double *outs) const;
-
-#if defined(__x86_64__) || defined(_M_X64)
-    /** AVX2 gather walk (flat_ensemble_avx2.cc); bit-identical to
-     *  predictRaw. Only callable when simd reports Avx2 support. */
-    double walkAvx2(const double *x) const;
-#endif
-#if defined(__aarch64__)
-    /** NEON walk (flat_ensemble_neon.cc); bit-identical to
-     *  predictRaw. */
-    double walkNeon(const double *x) const;
-#endif
 
     /** Steps from the root of `tree` to its deepest leaf. */
     static int32_t treeDepth(const RegressionTree &tree);
@@ -213,8 +185,7 @@ class FlatEnsemble
      * segment, padded (via the self-looping leaves) to the deepest
      * lane — nearly nothing, since sorting makes a block's lanes
      * structurally similar. Step counts are computed at compile time
-     * so a walk needs no per-query depth scan; the vector kernels map
-     * a full block onto two 4-lane AVX2 (or NEON) index vectors.
+     * so a walk needs no per-query depth scan.
      */
     struct Block
     {
@@ -224,12 +195,9 @@ class FlatEnsemble
     };
 
     /**
-     * Interleaved per-node record for the gather kernels: one 16-byte
-     * load covers the {feature, leftChild} pair (a single 64-bit
-     * gather lane) and the threshold sits 8 bytes further, so a walk
-     * step touches one cache line per node instead of three. Kept
-     * alongside the SoA arrays (which the scalar kernel and the
-     * compile-time renumbering still use).
+     * One node record: the {feature, leftChild} pair and the
+     * threshold share 16 bytes, so a walk step touches one cache line
+     * per node instead of one per field.
      */
     struct PackedNode
     {
@@ -238,8 +206,7 @@ class FlatEnsemble
         double threshold = 0.0;
     };
     static_assert(sizeof(PackedNode) == 16,
-                  "gather kernels index packed nodes by idx * 2 "
-                  "64-bit words");
+                  "a node record must not straddle two cache lines");
 
     /**
      * One branchless walk step: the next node index for `x` at node
@@ -274,7 +241,7 @@ class FlatEnsemble
     // One entry per node, all trees concatenated, BFS-renumbered per
     // tree so a split's children occupy ADJACENT slots: a walk step
     // is the branchless, load-free-child
-    //   i = leftChild[i] + (x[feature[i]] > threshold[i])
+    //   i = nodes[i].leftChild + (x[nodes[i].feature] > nodes[i].threshold)
     // (computed as !(x <= t), so NaN features go right exactly like
     // the interpreted walk's split nodes). Leaves self-loop — feature
     // 0, threshold NaN, leftChild = self - 1 (x <= NaN is false for
@@ -282,15 +249,9 @@ class FlatEnsemble
     // see appendMember for why +inf would break on NaN features) —
     // with the pre-scaled leaf value in leafValue[i], so a walk can
     // run a fixed number of steps without a per-node "is leaf" branch
-    // and a block's trees walk in lock-step (see predictRaw). All gather-indexed arrays live on
-    // 32-byte-aligned storage (support/aligned.h), asserted at
-    // compile time in appendMember.
-    AlignedVector<int32_t> feature;
-    AlignedVector<double> threshold;
-    AlignedVector<int32_t> leftChild;
-    AlignedVector<double> leafValue;
-    /** Interleaved mirror of (feature, leftChild, threshold). */
-    AlignedVector<PackedNode> packed;
+    // and a block's trees walk in lock-step (see predictRaw).
+    std::vector<PackedNode> nodes;
+    std::vector<double> leafValue;
     size_t minFeatures = 0;
     bool applyExp = false;
 };

@@ -310,18 +310,15 @@ ModelIo::validateFlat(const ml::FlatEnsemble &flat)
 {
     using Flat = ml::FlatEnsemble;
     const size_t treeTotal = flat.roots.size();
-    const size_t nodeTotal = flat.feature.size();
+    const size_t nodeTotal = flat.nodes.size();
 
     if (flat.members.empty() || treeTotal == 0 || nodeTotal == 0)
         corrupt("flat ensemble with no members");
     if (flat.minFeatures == 0 ||
         flat.minFeatures > static_cast<size_t>(kMaxFeatureIndex))
         corrupt("flat ensemble feature width out of range");
-    if (flat.threshold.size() != nodeTotal ||
-        flat.leftChild.size() != nodeTotal ||
-        flat.leafValue.size() != nodeTotal) {
+    if (flat.leafValue.size() != nodeTotal)
         corrupt("flat ensemble node arrays disagree on length");
-    }
     if (flat.depths.size() != treeTotal || flat.slotOf.size() != treeTotal)
         corrupt("flat ensemble tree arrays disagree on length");
 
@@ -362,11 +359,12 @@ ModelIo::validateFlat(const ml::FlatEnsemble &flat)
             corrupt("flat tree depth out of bounds");
     }
     for (size_t i = 0; i < nodeTotal; ++i) {
-        const int32_t left = flat.leftChild[i];
-        if (flat.feature[i] < 0 ||
-            static_cast<size_t>(flat.feature[i]) >= flat.minFeatures)
+        const Flat::PackedNode &node = flat.nodes[i];
+        const int32_t left = node.leftChild;
+        if (node.feature < 0 ||
+            static_cast<size_t>(node.feature) >= flat.minFeatures)
             corrupt("flat node feature out of range");
-        if (std::isnan(flat.threshold[i])) {
+        if (std::isnan(node.threshold)) {
             // Self-looping leaf: the step always takes left + 1 = i.
             if (left != static_cast<int32_t>(i) - 1)
                 corrupt("flat leaf does not self-loop");
@@ -414,13 +412,17 @@ ModelIo::writeFlat(ByteWriter &w, const ml::FlatEnsemble &flat)
     writeI32Array(w, flat.roots);
     writeI32Array(w, flat.depths);
     writeI32Array(w, flat.slotOf);
-    w.u32(static_cast<uint32_t>(flat.feature.size()));
-    writeI32Array(w, flat.feature);
-    writeF64Array(w, flat.threshold);
-    writeI32Array(w, flat.leftChild);
+    // The format stores nodes column by column (feature, threshold,
+    // leftChild), not as in-memory records: the bytes, and so
+    // kSnapshotVersion and the golden fixtures, depend on it.
+    w.u32(static_cast<uint32_t>(flat.nodes.size()));
+    for (const auto &n : flat.nodes)
+        w.i32(n.feature);
+    for (const auto &n : flat.nodes)
+        w.f64(n.threshold);
+    for (const auto &n : flat.nodes)
+        w.i32(n.leftChild);
     writeF64Array(w, flat.leafValue);
-    // `packed` is a pure re-interleaving of (feature, leftChild,
-    // threshold); it is rebuilt on load, never stored.
 }
 
 std::unique_ptr<ml::FlatEnsemble>
@@ -475,26 +477,18 @@ ModelIo::readFlat(ByteReader &r)
         flat->slotOf.push_back(r.i32());
 
     const uint32_t nodeCount = r.count(24, "flat node");
-    flat->feature.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i)
-        flat->feature.push_back(r.i32());
-    flat->threshold.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i)
-        flat->threshold.push_back(r.f64());
-    flat->leftChild.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i)
-        flat->leftChild.push_back(r.i32());
+    flat->nodes.resize(nodeCount);
+    for (auto &n : flat->nodes)
+        n.feature = r.i32();
+    for (auto &n : flat->nodes)
+        n.threshold = r.f64();
+    for (auto &n : flat->nodes)
+        n.leftChild = r.i32();
     flat->leafValue.reserve(nodeCount);
     for (uint32_t i = 0; i < nodeCount; ++i)
         flat->leafValue.push_back(r.f64());
 
     validateFlat(*flat);
-
-    flat->packed.reserve(nodeCount);
-    for (uint32_t i = 0; i < nodeCount; ++i) {
-        flat->packed.push_back(Flat::PackedNode{
-            flat->feature[i], flat->leftChild[i], flat->threshold[i]});
-    }
     return flat;
 }
 

@@ -5,7 +5,7 @@
  * ModelIo is the single befriended door into the ml classes' private
  * state: RegressionTree nodes, GradientBoost trees and baselines,
  * HierarchicalModel members, the LogTarget wrapper, the scalers, and
- * every FlatEnsemble SoA array including the depth-sorted blocked
+ * every FlatEnsemble array including the depth-sorted blocked
  * layout. Width and byte order come from persist/bytes.h; this file
  * owns field ORDER and the structural validation run on load.
  *
@@ -14,9 +14,9 @@
  *  - Bit-exactness: every double travels as its IEEE-754 bit pattern
  *    and the compiled FlatEnsemble is stored verbatim rather than
  *    recompiled on load, so a reloaded model reproduces the original's
- *    predictions bit-for-bit on every kernel (the derived `packed`
- *    mirror is rebuilt from the stored SoA arrays — it is a pure
- *    re-interleaving, not arithmetic).
+ *    predictions bit-for-bit on both walks (node records travel as
+ *    feature, threshold and leftChild columns and are re-interleaved
+ *    on load — a pure copy, not arithmetic).
  *
  *  - Determinism: encoding the same model twice yields the same bytes
  *    (no timestamps, no pointers, no map iteration), which is what
@@ -66,7 +66,7 @@ struct ModelIo
     /** Rebuild a model written by writeModel. */
     static std::unique_ptr<ml::Model> readModel(ByteReader &r);
 
-    /** Serialize a compiled ensemble, all SoA arrays verbatim. */
+    /** Serialize a compiled ensemble, all arrays verbatim. */
     static void writeFlat(ByteWriter &w, const ml::FlatEnsemble &flat);
 
     /** Rebuild (and validate) a compiled ensemble. */

@@ -1,14 +1,19 @@
 /**
  * @file
- * FlatEnsemble compiled inference: exact (==) equivalence with the
- * interpreted pointer-walk, degenerate shapes, batch scoring, and the
- * allocation discipline of TreeBuilder scratch reuse.
+ * FlatEnsemble compiled inference: exact (==) equivalence of both
+ * walks (the serial reference and the blocked walk, single-row and
+ * batched) with the interpreted pointer-walk, degenerate shapes,
+ * threshold ties and NaN features, concurrent predictBatch on a
+ * shared ensemble — the access pattern the GA's batch objective and
+ * the service warm path produce, and what the TSan CI leg checks —
+ * and the allocation discipline of TreeBuilder scratch reuse.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "ga/ga.h"
@@ -55,16 +60,38 @@ randomQueries(size_t count, size_t width, uint64_t seed)
     return queries;
 }
 
-/** Every prediction path must agree bit-for-bit. */
+/**
+ * Every prediction path must agree bit-for-bit — the contract
+ * DESIGN.md section 14 pins: interpreted == predictSerial == predict
+ * == predictBatch, the batch both serial and through a pool.
+ */
 void
 expectExactlyEqual(const Model &model, const FlatEnsemble &flat,
                    const std::vector<std::vector<double>> &queries)
 {
+    ASSERT_FALSE(queries.empty());
+    const size_t width = queries.front().size();
+    std::vector<double> expected;
+    std::vector<double> packed;
     for (const auto &q : queries) {
+        ASSERT_EQ(q.size(), width);
         const double interpreted = model.predict(q);
         EXPECT_EQ(interpreted, model.predict(q.data(), q.size()));
+        EXPECT_EQ(interpreted, flat.predictSerial(q.data(), q.size()));
         EXPECT_EQ(interpreted, flat.predict(q.data(), q.size()));
         EXPECT_EQ(interpreted, flat.predict(q));
+        expected.push_back(interpreted);
+        packed.insert(packed.end(), q.begin(), q.end());
+    }
+
+    service::ThreadPool pool(2);
+    for (Executor *exec : {static_cast<Executor *>(nullptr),
+                           static_cast<Executor *>(&pool)}) {
+        std::vector<double> out(queries.size(), 0.0);
+        flat.predictBatch(packed.data(), width, queries.size(),
+                          out.data(), exec);
+        EXPECT_EQ(out, expected) << (exec ? "pool" : "serial")
+                                 << " predictBatch";
     }
 }
 
@@ -173,13 +200,12 @@ TEST(FlatEnsemble, PredictBatchMatchesSingle)
     const auto flat = gb.compile();
     ASSERT_NE(flat, nullptr);
 
+    // 97 rows: six full 16-row interleaved chunks plus a 1-row tail.
     const auto queries = randomQueries(97, 5, 13);
     std::vector<double> expected;
-    std::vector<const double *> ptrs;
     std::vector<double> packed;
     for (const auto &q : queries) {
         expected.push_back(flat->predict(q.data(), q.size()));
-        ptrs.push_back(q.data());
         packed.insert(packed.end(), q.begin(), q.end());
     }
 
@@ -188,15 +214,149 @@ TEST(FlatEnsemble, PredictBatchMatchesSingle)
     for (Executor *exec : {static_cast<Executor *>(nullptr),
                            static_cast<Executor *>(&pool)}) {
         std::fill(out.begin(), out.end(), 0.0);
-        flat->predictBatch(ptrs.data(), ptrs.size(), 5, out.data(),
-                           exec);
-        EXPECT_EQ(out, expected);
-
-        std::fill(out.begin(), out.end(), 0.0);
         flat->predictBatch(packed.data(), 5, queries.size(), out.data(),
                            exec);
         EXPECT_EQ(out, expected);
     }
+}
+
+TEST(SimdWalk, AllKernelsMatchGradientBoostExactly)
+{
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        BoostParams p;
+        p.maxTrees = 70;
+        p.convergencePatience = 0;
+        p.targetErrorPct = 0.0;
+        p.seed = seed;
+        GradientBoost gb(p);
+        gb.train(bumpyData(300, seed));
+        const auto flat = gb.compile();
+        ASSERT_NE(flat, nullptr);
+        expectExactlyEqual(gb, *flat, randomQueries(64, 5, seed + 200));
+    }
+}
+
+TEST(SimdWalk, AllKernelsMatchLogTargetModelExactly)
+{
+    // exp() sits after the walk, so both walks' raw sums must already
+    // agree before exponentiation can.
+    HmParams p;
+    p.firstOrder.maxTrees = 60;
+    p.firstOrder.convergencePatience = 30;
+    p.firstOrder.targetIsLog = true;
+    p.targetErrorPct = 5.0;
+    p.targetIsLog = true;
+    LogTargetModel model(std::make_unique<HierarchicalModel>(p));
+    model.train(bumpyData(300, 6));
+    const auto flat = model.compile();
+    ASSERT_NE(flat, nullptr);
+    EXPECT_TRUE(flat->expOutput());
+    expectExactlyEqual(model, *flat, randomQueries(64, 5, 7));
+}
+
+TEST(SimdWalk, AllKernelsMatchOnSingleLeafTrees)
+{
+    // Constant target -> every tree is a single self-looping leaf:
+    // the degenerate blocks where a lock-step walk's step count is 0.
+    DataSet d(3);
+    Rng rng(9);
+    for (int i = 0; i < 50; ++i)
+        d.addRow({rng.uniform(), rng.uniform(), rng.uniform()}, 42.0);
+    BoostParams p;
+    p.maxTrees = 5;
+    p.convergencePatience = 0;
+    p.targetErrorPct = 0.0;
+    GradientBoost gb(p);
+    gb.train(d);
+    const auto flat = gb.compile();
+    ASSERT_NE(flat, nullptr);
+    EXPECT_EQ(flat->nodeCount(), flat->treeCount());
+    expectExactlyEqual(gb, *flat, randomQueries(16, 3, 10));
+}
+
+TEST(SimdWalk, AllKernelsMatchOnThresholdBoundaryQueries)
+{
+    // Train on a coarse grid so split thresholds land between (or at)
+    // grid values, then query the exact grid points: x == threshold
+    // ties and the NaN-goes-right convention must resolve identically
+    // in both walks (the comparison is !(x <= t) in each).
+    DataSet d(3);
+    const double grid[] = {0.0, 0.25, 0.5, 0.75, 1.0};
+    for (const double a : grid)
+        for (const double b : grid)
+            for (const double c : grid)
+                d.addRow({a, b, c}, 3.0 * a + (b > 0.5 ? 7.0 : 1.0) * c);
+
+    BoostParams p;
+    p.maxTrees = 40;
+    p.convergencePatience = 0;
+    p.targetErrorPct = 0.0;
+    GradientBoost gb(p);
+    gb.train(d);
+    const auto flat = gb.compile();
+    ASSERT_NE(flat, nullptr);
+
+    std::vector<std::vector<double>> queries;
+    for (const double a : grid)
+        for (const double b : grid)
+            queries.push_back({a, b, 0.5});
+    // And a NaN lane: must take the right child at every split, same
+    // as the interpreted walk.
+    queries.push_back({std::nan(""), 0.5, std::nan("")});
+    expectExactlyEqual(gb, *flat, queries);
+}
+
+TEST(SimdWalk, ParallelPredictBatchSharedEnsemble)
+{
+    // One immutable FlatEnsemble, hammered concurrently: N threads
+    // each running executor-parallel predictBatch over their own rows
+    // (the walk scratch is per-call stack state, so the only shared
+    // data is the const node arrays). Run under the TSan CI leg.
+    BoostParams p;
+    p.maxTrees = 60;
+    p.convergencePatience = 0;
+    p.targetErrorPct = 0.0;
+    GradientBoost gb(p);
+    gb.train(bumpyData(300, 18));
+    const auto flat = gb.compile();
+    ASSERT_NE(flat, nullptr);
+
+    constexpr size_t kThreads = 4;
+    constexpr size_t kRows = 300;
+    service::ThreadPool pool(4);
+
+    std::vector<std::vector<double>> rows(kThreads);
+    std::vector<std::vector<double>> expected(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+        Rng rng(100 + t);
+        rows[t].resize(kRows * 5);
+        for (double &v : rows[t])
+            v = rng.uniform() * 3.0 - 1.0;
+        expected[t].resize(kRows);
+        for (size_t r = 0; r < kRows; ++r) {
+            const double *x = rows[t].data() + r * 5;
+            expected[t][r] = gb.predict(x, 5);
+            EXPECT_EQ(expected[t][r], flat->predictSerial(x, 5));
+            EXPECT_EQ(expected[t][r], flat->predict(x, 5));
+        }
+    }
+
+    std::vector<std::vector<double>> got(
+        kThreads, std::vector<double>(kRows, 0.0));
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            for (int repeat = 0; repeat < 8; ++repeat) {
+                flat->predictBatch(rows[t].data(), 5, kRows,
+                                   got[t].data(), &pool);
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    for (size_t t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[t], expected[t]) << "thread " << t;
 }
 
 TEST(FlatEnsemble, GaBatchedScoringMatchesSerialResult)

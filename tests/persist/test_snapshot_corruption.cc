@@ -92,7 +92,7 @@ TEST(SnapshotCorruption, SingleBitFlipsAlwaysRejected)
 
     // Every header bit, plus ~256 payload offsets sampled
     // deterministically across the image (a fixed stride hits every
-    // section: strings, params, tree arrays, SoA arrays).
+    // section: strings, params, tree arrays, node columns).
     std::vector<size_t> offsets;
     for (size_t i = 0; i < SnapshotHeader::kBytes; ++i)
         offsets.push_back(i);

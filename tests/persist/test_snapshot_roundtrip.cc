@@ -7,9 +7,9 @@
  * Per case:
  *  - the reloaded interpreted model predicts bit-identically to the
  *    original on every probe row;
- *  - the reloaded compiled ensemble agrees to the bit on EVERY SIMD
- *    kernel this build/CPU supports (serial/scalar always, avx2/neon
- *    when present), single-row and batched;
+ *  - the reloaded compiled ensemble agrees to the bit on both walks
+ *    (the serial reference and the blocked walk), single-row and
+ *    batched;
  *  - re-encoding the reloaded snapshot reproduces the original bytes
  *    exactly (snapshot-of-reload idempotence).
  *
@@ -31,7 +31,6 @@
 #include "ml/flat_ensemble.h"
 #include "ml/hm.h"
 #include "ml/log_target.h"
-#include "ml/simd.h"
 #include "persist/snapshot.h"
 #include "support/random.h"
 
@@ -98,18 +97,6 @@ makeModel(uint64_t seed)
     }
 }
 
-std::vector<ml::simd::Kernel>
-supportedKernels()
-{
-    std::vector<ml::simd::Kernel> kernels = {ml::simd::Kernel::Serial,
-                                             ml::simd::Kernel::Scalar};
-    if (ml::simd::kernelSupported(ml::simd::Kernel::Avx2))
-        kernels.push_back(ml::simd::Kernel::Avx2);
-    if (ml::simd::kernelSupported(ml::simd::Kernel::Neon))
-        kernels.push_back(ml::simd::Kernel::Neon);
-    return kernels;
-}
-
 uint64_t
 bits(double v)
 {
@@ -118,7 +105,6 @@ bits(double v)
 
 TEST(SnapshotRoundtrip, ThousandSeededCasesBitIdentical)
 {
-    const auto kernels = supportedKernels();
     const char *workloads[] = {"TS", "WC", "KM", "PR"};
 
     for (uint64_t seed = 1; seed <= kCases; ++seed) {
@@ -183,7 +169,7 @@ TEST(SnapshotRoundtrip, ThousandSeededCasesBitIdentical)
         ASSERT_NE(snap.model, nullptr);
         ASSERT_NE(snap.compiled, nullptr);
 
-        // Bit-identical predictions: interpreted, every kernel, batch.
+        // Bit-identical predictions: interpreted, both walks, batch.
         const size_t probes = 8;
         std::vector<double> flatRows(probes * kFeatures);
         for (auto &v : flatRows)
@@ -195,13 +181,12 @@ TEST(SnapshotRoundtrip, ThousandSeededCasesBitIdentical)
             const double want = model->predict(x, kFeatures);
             EXPECT_EQ(bits(snap.model->predict(x, kFeatures)),
                       bits(want));
-            for (const auto kernel : kernels) {
-                EXPECT_EQ(bits(snap.compiled->predictWith(kernel, x,
-                                                          kFeatures)),
-                          bits(want))
-                    << "kernel " << ml::simd::kernelName(kernel)
-                    << " probe " << i;
-            }
+            EXPECT_EQ(bits(snap.compiled->predictSerial(x, kFeatures)),
+                      bits(want))
+                << "serial walk probe " << i;
+            EXPECT_EQ(bits(snap.compiled->predict(x, kFeatures)),
+                      bits(want))
+                << "blocked walk probe " << i;
             wantBatch[i] = want;
         }
         snap.compiled->predictBatch(flatRows.data(), kFeatures, probes,

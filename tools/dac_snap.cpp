@@ -17,9 +17,9 @@
  *                  this very file:
  *                    - the stored compiled ensemble predicts
  *                      bit-identically to a fresh compile of the
- *                      stored model, on every SIMD kernel this
- *                      machine supports, over the stored training
- *                      vectors;
+ *                      stored model and to the interpreted model, on
+ *                      both walks (serial reference and blocked),
+ *                      over the stored training vectors;
  *                    - re-encoding the decoded snapshot reproduces
  *                      the file bytes exactly (idempotence).
  *   ls DIR         one summary line per *.dacsnap file in DIR
@@ -39,7 +39,6 @@
 
 #include "ml/flat_ensemble.h"
 #include "ml/model.h"
-#include "ml/simd.h"
 #include "persist/snapshot.h"
 #include "support/mapped_file.h"
 
@@ -143,21 +142,24 @@ deepVerify(const std::string &path, const persist::ModelSnapshot &snap,
         return 1;
     }
 
-    // Kernel battery: the stored compiled ensemble, a fresh compile of
+    // Walk battery: the stored compiled ensemble, a fresh compile of
     // the stored model, and the interpreted model must all agree to
-    // the bit, on every kernel this machine can run.
+    // the bit, on both walks.
     const std::shared_ptr<const ml::FlatEnsemble> stored =
         snap.compiled != nullptr
             ? snap.compiled
             : std::shared_ptr<const ml::FlatEnsemble>(
                   snap.model->compile());
     const std::unique_ptr<ml::FlatEnsemble> fresh = snap.model->compile();
-    std::vector<ml::simd::Kernel> kernels = {ml::simd::Kernel::Serial,
-                                             ml::simd::Kernel::Scalar};
-    if (ml::simd::kernelSupported(ml::simd::Kernel::Avx2))
-        kernels.push_back(ml::simd::Kernel::Avx2);
-    if (ml::simd::kernelSupported(ml::simd::Kernel::Neon))
-        kernels.push_back(ml::simd::Kernel::Neon);
+    using Walk = double (ml::FlatEnsemble::*)(const double *, size_t)
+        const;
+    struct NamedWalk
+    {
+        const char *name;
+        Walk walk;
+    };
+    const NamedWalk walks[] = {{"serial", &ml::FlatEnsemble::predictSerial},
+                               {"blocked", &ml::FlatEnsemble::predict}};
 
     size_t checked = 0;
     for (const auto &vec : snap.vectors) {
@@ -166,17 +168,16 @@ deepVerify(const std::string &path, const persist::ModelSnapshot &snap,
         if (features.size() < stored->minFeatureCount())
             continue; // not a feature row this ensemble can score
         const double want = snap.model->predict(features);
-        for (const auto kernel : kernels) {
-            const double storedGot = stored->predictWith(
-                kernel, features.data(), features.size());
-            const double freshGot = fresh->predictWith(
-                kernel, features.data(), features.size());
+        for (const NamedWalk &w : walks) {
+            const double storedGot =
+                ((*stored).*w.walk)(features.data(), features.size());
+            const double freshGot =
+                ((*fresh).*w.walk)(features.data(), features.size());
             if (std::bit_cast<uint64_t>(storedGot) !=
                     std::bit_cast<uint64_t>(want) ||
                 std::bit_cast<uint64_t>(freshGot) !=
                     std::bit_cast<uint64_t>(want)) {
-                std::cerr << path << ": FAIL kernel "
-                          << ml::simd::kernelName(kernel)
+                std::cerr << path << ": FAIL walk " << w.name
                           << " row " << checked << ": model "
                           << bitHex(want) << " stored "
                           << bitHex(storedGot) << " fresh "
@@ -187,8 +188,8 @@ deepVerify(const std::string &path, const persist::ModelSnapshot &snap,
         ++checked;
     }
     std::printf("  deep:        re-encode identical; %zu row(s) x %zu "
-                "kernel(s) bit-identical\n",
-                checked, kernels.size());
+                "walk(s) bit-identical\n",
+                checked, std::size(walks));
     return 0;
 }
 
