@@ -32,8 +32,8 @@ struct WitnessStep
 {
     std::string file;
     size_t line = 0;
-    /** "Connection::dispatchBatch calls ThreadPool::post" or
-     *  "condition_variable::wait on queueSpace". */
+    /** "Server::tick calls Server::audit" or
+     *  "condition_variable::wait on finished". */
     std::string text;
 };
 

@@ -164,9 +164,9 @@ class Connection : public std::enable_shared_from_this<Connection>
                         decodeTuneRequest(frame.payload, frame.version);
                     request.decodeSec = elapsedSec(decodeStart);
                     request.wireId = frame.requestId;
-                    obs::FlightRecorder::record(frame.requestId,
-                                                obs::FlightPhase::Decode,
-                                                request.decodeSec);
+                    server.phaseRecorder.observe(service::Phase::Decode,
+                                                 request.decodeSec,
+                                                 frame.requestId);
                     requests.push_back(std::move(request));
                     ids.push_back(frame.requestId);
                     versions.push_back(frame.version);
@@ -342,7 +342,8 @@ class Connection : public std::enable_shared_from_this<Connection>
 
 TuningServer::TuningServer(service::TuningBackend &backend,
                            ServerOptions options)
-    : backend(&backend), options(std::move(options))
+    : backend(&backend), options(std::move(options)),
+      phaseRecorder(this->options.metrics)
 {
     DAC_ASSERT(this->options.eventLoops > 0,
                "server needs at least one event loop");
@@ -380,7 +381,6 @@ TuningServer::start()
             loops[i]->redDuration =
                 &options.metrics->histogram(stem + ".duration");
         }
-        serializeHist = &options.metrics->histogram("phase.serialize");
         writeHist = &options.metrics->histogram("phase.write");
     }
     for (auto &loop : loops) {
@@ -488,11 +488,8 @@ TuningServer::dispatchBatch(const std::shared_ptr<Connection> &conn,
                     const double serializeSec =
                         elapsedSec(serializeStart);
                     patchSerializePhaseSec(payload, serializeSec);
-                    if (serializeHist != nullptr)
-                        serializeHist->observe(serializeSec);
-                    obs::FlightRecorder::record(
-                        ids[i], obs::FlightPhase::Serialize,
-                        serializeSec);
+                    phaseRecorder.observe(service::Phase::Serialize,
+                                          serializeSec, ids[i]);
                 } else {
                     payload = encodeTuneResponse(response, versions[i]);
                 }

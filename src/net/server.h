@@ -200,8 +200,9 @@ class TuningServer
     std::atomic<bool> stopped{false};
     std::function<std::string(StatsFormat)> statsProvider;
     std::function<std::string(SnapshotOp)> snapshotProvider;
-    // Cached phase histograms (null without ServerOptions::metrics).
-    obs::Histogram *serializeHist = nullptr;
+    /** Records the decode and serialize phases. */
+    service::PhaseRecorder phaseRecorder;
+    // Cached write histogram (null without ServerOptions::metrics).
     obs::Histogram *writeHist = nullptr;
 
     struct AtomicStats

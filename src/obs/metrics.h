@@ -4,17 +4,17 @@
  * latency histograms with percentile estimates, dumpable as an aligned
  * ASCII table (support/table) or as Prometheus text exposition.
  *
- * Moved here from src/service in PR 2 so every layer of the pipeline
- * (simulator, collector, modeler, searcher) can record into the
- * process-wide globalMetrics() registry without depending on the
- * service runtime; src/service/metrics.h keeps aliases for existing
- * users.
+ * Every layer of the pipeline (simulator, collector, modeler,
+ * searcher) records into the process-wide globalMetrics() registry;
+ * the tuning service and the wire server record into the service's
+ * own registry.
  *
  * Counter and Histogram references handed out by a registry stay valid
  * for the registry's lifetime and may be updated concurrently from any
- * thread; only the first lookup of a new name takes a lock, so hot
- * paths should cache the reference (typically in a function-local
- * static).
+ * thread. Every lookup by name takes the registry lock, so hot paths
+ * resolve their references once — at construction (TuningService,
+ * service::PhaseRecorder, TuningServer) or in a function-local static
+ * — and never look a name up per request.
  */
 
 #ifndef DAC_OBS_METRICS_H

@@ -12,6 +12,7 @@
 #ifndef DAC_SERVICE_REQUEST_H
 #define DAC_SERVICE_REQUEST_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -19,6 +20,11 @@
 
 #include "conf/config.h"
 #include "conf/constraints.h"
+
+namespace dac::obs {
+class Histogram;
+class MetricsRegistry;
+} // namespace dac::obs
 
 namespace dac::service {
 
@@ -53,6 +59,30 @@ struct PhaseTiming
 {
     Phase phase = Phase::Decode;
     double sec = 0.0;
+};
+
+/**
+ * One call per phase: the breakdown entry, the `phase.<name>`
+ * histogram (resolved once, at construction) and the flight record,
+ * so the three views of a phase cannot disagree.
+ */
+class PhaseRecorder
+{
+  public:
+    /** Null `registry` records flight events and entries only. */
+    explicit PhaseRecorder(obs::MetricsRegistry *registry);
+
+    /** Append {phase, sec} to `phases`, then observe(). */
+    void record(std::vector<PhaseTiming> &phases, Phase phase, double sec,
+                uint32_t wire_id, uint16_t shard = 0) const;
+
+    /** Histogram and flight record only, for the transport's decode
+     *  and serialize phases (their entries are written elsewhere). */
+    void observe(Phase phase, double sec, uint32_t wire_id,
+                 uint16_t shard = 0) const;
+
+  private:
+    std::array<obs::Histogram *, kPhaseCount> histograms{};
 };
 
 /**

@@ -80,6 +80,27 @@ bandTrainingSizes(int band, size_t m)
     return sizes;
 }
 
+/** The flight-recorder checkpoint a phase settles at. */
+obs::FlightPhase
+flightPhaseOf(Phase phase)
+{
+    switch (phase) {
+    case Phase::Decode:
+        return obs::FlightPhase::Decode;
+    case Phase::Queue:
+        return obs::FlightPhase::QueueExit;
+    case Phase::CacheLookup:
+        return obs::FlightPhase::CacheLookup;
+    case Phase::ModelBuild:
+        return obs::FlightPhase::ModelBuild;
+    case Phase::Search:
+        return obs::FlightPhase::Search;
+    case Phase::Serialize:
+        return obs::FlightPhase::Serialize;
+    }
+    return obs::FlightPhase::Decode;
+}
+
 } // namespace
 
 std::string
@@ -109,6 +130,32 @@ phaseName(Phase phase)
         return "serialize";
     }
     return "unknown";
+}
+
+PhaseRecorder::PhaseRecorder(obs::MetricsRegistry *registry)
+{
+    for (size_t i = 0; registry != nullptr && i < kPhaseCount; ++i) {
+        histograms[i] = &registry->histogram(
+            std::string("phase.") + phaseName(static_cast<Phase>(i)));
+    }
+}
+
+void
+PhaseRecorder::record(std::vector<PhaseTiming> &phases, Phase phase,
+                      double sec, uint32_t wire_id, uint16_t shard) const
+{
+    phases.push_back({phase, sec});
+    observe(phase, sec, wire_id, shard);
+}
+
+void
+PhaseRecorder::observe(Phase phase, double sec, uint32_t wire_id,
+                       uint16_t shard) const
+{
+    if (obs::Histogram *h = histograms[static_cast<size_t>(phase)])
+        h->observe(sec);
+    obs::FlightRecorder::record(wire_id, flightPhaseOf(phase), sec,
+                                obs::FlightReason::None, shard);
 }
 
 double
@@ -154,10 +201,11 @@ std::future<TuneResponse>
 TuningService::submit(TuneRequest request)
 {
     const std::string key = request.cacheKey();
+    const uint32_t wire_id = request.wireId;
     std::promise<TuneResponse> promise;
     std::future<TuneResponse> future = promise.get_future();
+    std::shared_ptr<Pending> entry;
     bool first = false;
-    std::chrono::steady_clock::time_point submittedAt;
     {
         std::lock_guard<std::mutex> lock(mutex);
         if (!accepting)
@@ -165,99 +213,38 @@ TuningService::submit(TuneRequest request)
         auto &slot = pending[key];
         if (!slot) {
             slot = std::make_shared<Pending>();
+            slot->request = std::move(request);
             slot->submitted = std::chrono::steady_clock::now();
             first = true;
         }
-        submittedAt = slot->submitted;
-        slot->waiters.push_back(std::move(promise));
+        entry = slot;
+        entry->waiters.push_back(std::move(promise));
     }
-    registry.counter("requests.submitted").increment();
-    obs::FlightRecorder::record(request.wireId,
-                                obs::FlightPhase::QueueEnter);
+    requestsSubmitted.increment();
+    obs::FlightRecorder::record(wire_id, obs::FlightPhase::QueueEnter);
     if (!first) {
-        registry.counter("requests.coalesced").increment();
+        requestsCoalesced.increment();
         return future;
     }
 
-    const std::string workload = request.workload;
-    const double native_size = request.nativeSize;
-    const uint32_t wire_id = request.wireId;
-    auto work = [this, request = std::move(request), key,
-                 submittedAt]() {
+    const bool posted = pool.tryPost([this, key, entry]() {
         TuneResponse response;
         std::exception_ptr error;
         try {
-            response = process(request, submittedAt);
+            response = process(entry->request, entry->submitted);
         } catch (...) {
             error = std::current_exception();
         }
-
-        std::shared_ptr<Pending> entry;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            const auto it = pending.find(key);
-            DAC_ASSERT(it != pending.end(), "lost a pending request");
-            entry = it->second;
-            pending.erase(it);
-        }
-
-        // Account before fulfilling any promise: a waiter may read the
-        // counters the instant its future resolves.
-        const double latency = elapsedSec(entry->submitted);
-        const size_t waiters = entry->waiters.size();
-        if (error) {
-            registry.counter("requests.failed").increment(waiters);
-        } else {
-            for (size_t i = 0; i < waiters; ++i)
-                registry.histogram("latency.request").observe(latency);
-            registry.counter("requests.served").increment(waiters);
-        }
-        for (size_t i = 0; i < waiters; ++i) {
-            if (error) {
-                entry->waiters[i].set_exception(error);
-                continue;
-            }
-            TuneResponse copy = response;
-            copy.coalesced = i > 0;
-            copy.latencySec = latency;
-            entry->waiters[i].set_value(std::move(copy));
-        }
-    };
-
-    bool posted = true;
-    if (options.rejectWhenSaturated)
-        posted = pool.tryPost(std::move(work));
-    else
-        // Configuration-gated: the serving stack runs with
-        // rejectWhenSaturated=true and takes the tryPost branch; this
-        // blocking post exists for batch/offline embedders that
-        // prefer backpressure to errors.
-        // NOLINTNEXTLINE(dac-blocking-in-loop): gated off serving paths
-        pool.post(std::move(work));
-    if (posted)
-        return future;
-
-    // Backpressure: the queue is full, so unwind the pending entry and
-    // answer every waiter inline with the expert fallback rather than
-    // blocking the caller or erroring (reject-with-reason).
-    std::shared_ptr<Pending> entry;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        const auto it = pending.find(key);
-        DAC_ASSERT(it != pending.end(), "lost a pending request");
-        entry = it->second;
-        pending.erase(it);
-    }
-    registry.counter("requests.rejected")
-        .increment(entry->waiters.size());
-    const TuneResponse rejected = degradedResponse(
-        workload, native_size, "queue-saturated", 0, wire_id);
-    const double latency = elapsedSec(entry->submitted);
-    for (size_t i = 0; i < entry->waiters.size(); ++i) {
-        TuneResponse copy = rejected;
-        copy.coalesced = i > 0;
-        copy.latencySec = latency;
-        entry->waiters[i].set_value(std::move(copy));
+        settle(key, entry, std::move(response), error);
+    });
+    if (!posted) {
+        // Backpressure: the queue is full, so answer every waiter
+        // inline with the expert fallback rather than blocking the
+        // caller or erroring (reject-with-reason).
+        settle(key, entry,
+               degrade(entry->request, {},
+                       obs::FlightReason::QueueSaturated, nullptr),
+               nullptr);
     }
     return future;
 }
@@ -296,9 +283,9 @@ TuningService::submitBatch(std::vector<TuneRequest> batch)
         if (!accepting)
             fatalError("TuningService::submitBatch after shutdown");
     }
-    registry.counter("requests.submitted").increment(n);
-    registry.counter("requests.batched").increment(n);
-    registry.counter("batches.submitted").increment();
+    requestsSubmitted.increment(n);
+    requestsBatched.increment(n);
+    batchesSubmitted.increment();
     if (obs::FlightRecorder::enabled()) {
         for (const TuneRequest &request : state->requests) {
             obs::FlightRecorder::record(request.wireId,
@@ -310,7 +297,7 @@ TuningService::submitBatch(std::vector<TuneRequest> batch)
     // shard-warm model (the first miss builds it, the rest are hits),
     // and duplicate cache keys inside the batch are answered from the
     // first occurrence without re-searching.
-    auto work = [this, state]() {
+    const bool posted = pool.tryPost([this, state]() {
         std::map<std::string, size_t> firstByKey;
         std::vector<TuneResponse> responses(state->requests.size());
         for (size_t i = 0; i < state->requests.size(); ++i) {
@@ -324,45 +311,80 @@ TuningService::submitBatch(std::vector<TuneRequest> batch)
                 } else {
                     responses[i] = responses[first->second];
                     responses[i].coalesced = true;
-                    registry.counter("requests.coalesced").increment();
+                    requestsCoalesced.increment();
                 }
-                const double latency = elapsedSec(state->submitted);
-                responses[i].latencySec = latency;
-                registry.histogram("latency.request").observe(latency);
-                registry.counter("requests.served").increment();
                 // Copy, not move: a later duplicate of this key copies
                 // its answer from responses[i].
-                state->promises[i].set_value(responses[i]);
+                answer({&state->promises[i], 1}, responses[i],
+                       state->submitted);
             } catch (...) {
-                registry.counter("requests.failed").increment();
+                requestsFailed.increment();
                 state->promises[i].set_exception(
                     std::current_exception());
             }
         }
-    };
-
-    bool posted = true;
-    if (options.rejectWhenSaturated)
-        posted = pool.tryPost(work);
-    else
-        // Configuration-gated, same contract as the single-request
-        // path above; the serving stack never takes this branch.
-        // NOLINTNEXTLINE(dac-blocking-in-loop): gated off serving paths
-        pool.post(work);
-    if (posted)
-        return futures;
-
-    // Backpressure: degrade the whole batch inline, same contract as
-    // the single-request path.
-    registry.counter("requests.rejected").increment(n);
-    for (size_t i = 0; i < n; ++i) {
-        TuneResponse rejected = degradedResponse(
-            state->requests[i].workload, state->requests[i].nativeSize,
-            "queue-saturated", 0, state->requests[i].wireId);
-        rejected.latencySec = elapsedSec(state->submitted);
-        state->promises[i].set_value(std::move(rejected));
+    });
+    if (!posted) {
+        // Backpressure: degrade the whole batch inline, same contract
+        // as the single-request path.
+        for (size_t i = 0; i < n; ++i) {
+            answer({&state->promises[i], 1},
+                   degrade(state->requests[i], {},
+                           obs::FlightReason::QueueSaturated, nullptr),
+                   state->submitted);
+        }
     }
     return futures;
+}
+
+void
+TuningService::settle(const std::string &key,
+                      const std::shared_ptr<Pending> &entry,
+                      TuneResponse response, std::exception_ptr error)
+{
+    {
+        // Past this point no submit() can coalesce onto the entry, so
+        // its waiter list is final.
+        std::lock_guard<std::mutex> lock(mutex);
+        const auto it = pending.find(key);
+        DAC_ASSERT(it != pending.end() && it->second == entry,
+                   "lost a pending request");
+        pending.erase(it);
+    }
+    if (!error) {
+        answer(entry->waiters, std::move(response), entry->submitted);
+        return;
+    }
+    requestsFailed.increment(entry->waiters.size());
+    for (auto &waiter : entry->waiters)
+        waiter.set_exception(error);
+}
+
+void
+TuningService::answer(std::span<std::promise<TuneResponse>> waiters,
+                      TuneResponse response,
+                      std::chrono::steady_clock::time_point submitted)
+{
+    // Account before fulfilling any promise: a waiter may read the
+    // counters the instant its future resolves.
+    response.latencySec = elapsedSec(submitted);
+    const size_t n = waiters.size();
+    // A queue-saturated answer never ran: rejected, not served.
+    if (response.degradedReason ==
+        obs::flightReasonName(obs::FlightReason::QueueSaturated)) {
+        requestsRejected.increment(n);
+    } else {
+        for (size_t i = 0; i < n; ++i)
+            requestLatency.observe(response.latencySec);
+        requestsServed.increment(n);
+    }
+    if (response.degraded)
+        requestsDegraded.increment(n);
+    for (size_t i = 0; i < n; ++i) {
+        TuneResponse copy = response;
+        copy.coalesced = copy.coalesced || i > 0;
+        waiters[i].set_value(std::move(copy));
+    }
 }
 
 TuneResponse
@@ -387,17 +409,13 @@ TuningService::process(const TuneRequest &request,
 
     // Phase breakdown: accumulated in pipeline order as each phase
     // settles; every return path below carries whatever was measured
-    // by then. The transport appends/patches serialize + write.
+    // by then. The transport observed the decode phase itself and
+    // appends/patches serialize + write.
     std::vector<PhaseTiming> phases;
-    if (request.decodeSec > 0.0) {
+    if (request.decodeSec > 0.0)
         phases.push_back({Phase::Decode, request.decodeSec});
-        registry.histogram("phase.decode").observe(request.decodeSec);
-    }
-    const double queuedSec = elapsedSec(submitted);
-    phases.push_back({Phase::Queue, queuedSec});
-    registry.histogram("phase.queue").observe(queuedSec);
-    obs::FlightRecorder::record(request.wireId,
-                                obs::FlightPhase::QueueExit, queuedSec);
+    phaseRecorder.record(phases, Phase::Queue, elapsedSec(submitted),
+                         request.wireId);
 
     const auto &workload =
         workloads::Registry::instance().byAbbrev(request.workload);
@@ -423,6 +441,13 @@ TuningService::process(const TuneRequest &request,
     bool builtHere = false;
     int build_retries = 0;
     double buildSec = 0.0;
+    // The expert fallback, with the phases measured so far.
+    auto fallBack = [&](obs::FlightReason reason) {
+        TuneResponse response;
+        response.buildRetries = build_retries;
+        response.phases = std::move(phases);
+        return degrade(request, std::move(response), reason, &requestSpan);
+    };
     const auto lookupStart = std::chrono::steady_clock::now();
     std::shared_ptr<const CachedModel> cached;
     try {
@@ -435,41 +460,20 @@ TuningService::process(const TuneRequest &request,
             return entry;
         });
     } catch (const DeadlineExpired &) {
-        registry.counter("deadline.expired").increment();
-        if (requestSpan.active())
-            requestSpan.attr("degraded", "deadline");
-        TuneResponse degraded =
-            degradedResponse(workload.abbrev(), request.nativeSize,
-                             "deadline", build_retries, request.wireId);
-        degraded.phases = std::move(phases);
-        return degraded;
+        return fallBack(obs::FlightReason::Deadline);
     } catch (const TransientModelError &) {
         // Retries exhausted (also surfaces to every cache waiter that
         // coalesced onto the failed build — they degrade the same way).
-        if (requestSpan.active())
-            requestSpan.attr("degraded", "model-failure");
-        TuneResponse degraded = degradedResponse(
-            workload.abbrev(), request.nativeSize, "model-failure",
-            build_retries, request.wireId);
-        degraded.phases = std::move(phases);
-        return degraded;
+        return fallBack(obs::FlightReason::ModelFailure);
     }
     // The cache-lookup phase is the coordination cost alone: total
     // getOrBuild time minus any build this request ran itself.
-    const double lookupSec =
-        std::max(0.0, elapsedSec(lookupStart) - buildSec);
-    phases.push_back({Phase::CacheLookup, lookupSec});
-    registry.histogram("phase.cache-lookup").observe(lookupSec);
-    obs::FlightRecorder::record(request.wireId,
-                                obs::FlightPhase::CacheLookup, lookupSec,
-                                obs::FlightReason::None, shard);
+    phaseRecorder.record(phases, Phase::CacheLookup,
+                         std::max(0.0, elapsedSec(lookupStart) - buildSec),
+                         request.wireId, shard);
     if (builtHere) {
-        phases.push_back({Phase::ModelBuild, buildSec});
-        registry.histogram("phase.model-build").observe(buildSec);
-        obs::FlightRecorder::record(request.wireId,
-                                    obs::FlightPhase::ModelBuild,
-                                    buildSec, obs::FlightReason::None,
-                                    shard);
+        phaseRecorder.record(phases, Phase::ModelBuild, buildSec,
+                             request.wireId, shard);
     }
     if (requestSpan.active())
         requestSpan.attr("model_source", builtHere ? "built" : "cache_hit");
@@ -495,16 +499,8 @@ TuningService::process(const TuneRequest &request,
     // Deadline gone before the search starts: answer with the expert
     // configuration instead of starting work we cannot finish. (The
     // model, if built, stays cached for the next request.)
-    if (cancel.cancelled()) {
-        registry.counter("deadline.expired").increment();
-        if (requestSpan.active())
-            requestSpan.attr("degraded", "deadline");
-        TuneResponse degraded =
-            degradedResponse(workload.abbrev(), request.nativeSize,
-                             "deadline", build_retries, request.wireId);
-        degraded.phases = std::move(phases);
-        return degraded;
-    }
+    if (cancel.cancelled())
+        return fallBack(obs::FlightReason::Deadline);
 
     // Search: GA against the cached model with the requested size
     // pinned, population seeded from the training set (Figure 6) —
@@ -533,13 +529,8 @@ TuningService::process(const TuneRequest &request,
     params.cancel = &cancel;
     const double dsize = workload.bytesForSize(request.nativeSize);
     auto found = searcher.search(dsize, params, seeds);
-    const double searchSec = elapsedSec(searchStart);
-    registry.histogram("latency.search").observe(searchSec);
-    phases.push_back({Phase::Search, searchSec});
-    registry.histogram("phase.search").observe(searchSec);
-    obs::FlightRecorder::record(request.wireId, obs::FlightPhase::Search,
-                                searchSec, obs::FlightReason::None,
-                                shard);
+    phaseRecorder.record(phases, Phase::Search, elapsedSec(searchStart),
+                         request.wireId, shard);
 
     TuneResponse response;
     response.workload = workload.abbrev();
@@ -555,17 +546,8 @@ TuningService::process(const TuneRequest &request,
     if (found.ga.cancelled) {
         // Deadline fired mid-search: the GA's best-so-far is still a
         // real model-scored configuration, so return it — labeled.
-        response.degraded = true;
-        response.degradedReason = "search-truncated";
-        registry.counter("deadline.expired").increment();
-        registry.counter("search.truncated").increment();
-        registry.counter("requests.degraded").increment();
-        if (requestSpan.active())
-            requestSpan.attr("degraded", "search-truncated");
-        obs::FlightRecorder::record(request.wireId,
-                                    obs::FlightPhase::Degraded, 0.0,
-                                    obs::FlightReason::SearchTruncated);
-        obs::FlightRecorder::instance().requestDump("degraded");
+        return degrade(request, std::move(response),
+                       obs::FlightReason::SearchTruncated, &requestSpan);
     }
     return response;
 }
@@ -623,25 +605,31 @@ TuningService::maybeInjectBuildFault()
 }
 
 TuneResponse
-TuningService::degradedResponse(const std::string &workload,
-                                double native_size, std::string reason,
-                                int build_retries, uint32_t wire_id)
+TuningService::degrade(const TuneRequest &request, TuneResponse response,
+                       obs::FlightReason reason, obs::ScopedSpan *span)
 {
-    TuneResponse response;
-    response.workload = workload;
-    response.nativeSize = native_size;
-    response.best = conf::expertSparkConfig(sim->clusterSpec());
+    if (reason != obs::FlightReason::SearchTruncated) {
+        // No model-scored answer exists: fall back to the expert
+        // configuration, the paper's human-tuned baseline.
+        response.workload = request.workload;
+        response.nativeSize = request.nativeSize;
+        response.best = conf::expertSparkConfig(sim->clusterSpec());
+        response.warnings =
+            conf::validateForCluster(response.best, sim->clusterSpec());
+    }
     response.degraded = true;
-    response.degradedReason = std::move(reason);
-    response.buildRetries = build_retries;
-    response.warnings =
-        conf::validateForCluster(response.best, sim->clusterSpec());
-    registry.counter("requests.degraded").increment();
+    response.degradedReason = obs::flightReasonName(reason);
+    if (reason == obs::FlightReason::Deadline ||
+        reason == obs::FlightReason::SearchTruncated)
+        deadlineExpired.increment();
+    if (reason == obs::FlightReason::SearchTruncated)
+        searchTruncated.increment();
+    if (span != nullptr && span->active())
+        span->attr("degraded", response.degradedReason);
     // Black-box note + (rate-limited) dump: a degraded answer is the
     // moment the recent-event window is worth keeping.
-    obs::FlightRecorder::record(
-        wire_id, obs::FlightPhase::Degraded, 0.0,
-        obs::flightReasonFromString(response.degradedReason));
+    obs::FlightRecorder::record(request.wireId, obs::FlightPhase::Degraded,
+                                0.0, reason);
     obs::FlightRecorder::instance().requestDump("degraded");
     return response;
 }
@@ -651,7 +639,6 @@ TuningService::buildModel(const workloads::Workload &workload,
                           const ModelKey &key,
                           const CancelToken &cancel)
 {
-    const auto start = std::chrono::steady_clock::now();
     Executor *executor =
         options.parallelWithinRequest ? &pool : nullptr;
 
@@ -704,7 +691,6 @@ TuningService::buildModel(const workloads::Workload &workload,
     }
 
     registry.counter("models.built").increment();
-    registry.histogram("latency.model_build").observe(elapsedSec(start));
     return entry;
 }
 

@@ -23,12 +23,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "dac/tuner.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "service/backend.h"
-#include "service/metrics.h"
 #include "service/model_cache.h"
 #include "service/request.h"
 #include "service/thread_pool.h"
@@ -42,7 +45,9 @@ struct ServiceOptions
 {
     /** Worker threads (0 = one per hardware thread). */
     size_t threads = 4;
-    /** Bound on queued-but-not-running requests. */
+    /** Bound on queued-but-not-running requests; a request arriving
+     *  at a full queue is answered at once with the degraded
+     *  "queue-saturated" expert configuration, never blocked. */
     size_t queueCapacity = 256;
     /** Trained models kept resident. */
     size_t modelCacheCapacity = 16;
@@ -79,9 +84,6 @@ struct ServiceOptions
     double retryBackoffMultiplier = 2.0;
     /** Backoff ceiling, seconds; also clipped to any deadline left. */
     double retryBackoffMaxSec = 1.0;
-    /** Answer new requests with a degraded "queue-saturated" response
-     *  instead of blocking the caller when the work queue is full. */
-    bool rejectWhenSaturated = true;
 
     /**
      * Directory of model snapshots (persist/snapshot.h). Empty (the
@@ -158,7 +160,7 @@ class TuningService final : public TuningBackend
     void shutdown();
 
     /** Operational counters and latency histograms. */
-    MetricsRegistry &metrics() { return registry; }
+    obs::MetricsRegistry &metrics() { return registry; }
 
     /** Model-cache accounting (hits, misses, evictions, ...). */
     ModelCache::Stats cacheStats() const { return cache.stats(); }
@@ -201,6 +203,8 @@ class TuningService final : public TuningBackend
     /** Requests waiting on one in-flight computation. */
     struct Pending
     {
+        /** The first submitter's request; the rest coalesced onto it. */
+        TuneRequest request;
         std::vector<std::promise<TuneResponse>> waiters;
         std::chrono::steady_clock::time_point submitted;
     };
@@ -223,16 +227,40 @@ class TuningService final : public TuningBackend
     /** Deterministic injected build fault (ServiceOptions::faults);
      *  also counts every build attempt in the metrics. */
     void maybeInjectBuildFault();
-    /** Expert-configuration fallback answer, labeled degraded; also
-     *  drops a flight-recorder event (tagged `wire_id`) and asks for a
-     *  rate-limited flight dump. */
-    TuneResponse degradedResponse(const std::string &workload,
-                                  double native_size, std::string reason,
-                                  int build_retries, uint32_t wire_id = 0);
+    /**
+     * The one degrade path: `response` (holding the phases measured so
+     * far) labelled degraded for `reason`, with the expert
+     * configuration unless the search ran; also labels `span`, counts
+     * a deadline expiry or truncated search and drops a flight-recorder
+     * event (plus a rate-limited dump request).
+     */
+    TuneResponse degrade(const TuneRequest &request, TuneResponse response,
+                         obs::FlightReason reason, obs::ScopedSpan *span);
+    /** Give every waiter `response` (all but the first coalesced) with
+     *  the latency since `submitted`, counting each answer first. */
+    void answer(std::span<std::promise<TuneResponse>> waiters,
+                TuneResponse response,
+                std::chrono::steady_clock::time_point submitted);
+    /** Unregister `key`'s pending entry and answer its waiters. */
+    void settle(const std::string &key, const std::shared_ptr<Pending> &entry,
+                TuneResponse response, std::exception_ptr error);
 
     const sparksim::SparkSimulator *sim;
     ServiceOptions options;
-    MetricsRegistry registry;
+    obs::MetricsRegistry registry;
+    /** Per-request metric handles, resolved once from `registry`. */
+    PhaseRecorder phaseRecorder{&registry};
+    obs::Histogram &requestLatency = registry.histogram("latency.request");
+    obs::Counter &requestsSubmitted = registry.counter("requests.submitted");
+    obs::Counter &requestsBatched = registry.counter("requests.batched");
+    obs::Counter &batchesSubmitted = registry.counter("batches.submitted");
+    obs::Counter &requestsCoalesced = registry.counter("requests.coalesced");
+    obs::Counter &requestsServed = registry.counter("requests.served");
+    obs::Counter &requestsFailed = registry.counter("requests.failed");
+    obs::Counter &requestsRejected = registry.counter("requests.rejected");
+    obs::Counter &requestsDegraded = registry.counter("requests.degraded");
+    obs::Counter &deadlineExpired = registry.counter("deadline.expired");
+    obs::Counter &searchTruncated = registry.counter("search.truncated");
     ModelCache cache;
     /** Service-wide model-build attempt index (fault hook keys its
      *  deterministic draws on this). */

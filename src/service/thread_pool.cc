@@ -49,22 +49,6 @@ ThreadPool::queueDepth() const
     return queue.size();
 }
 
-void
-ThreadPool::post(std::function<void()> task)
-{
-    DAC_ASSERT(task, "posted an empty task");
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        queueSpace.wait(lock, [this]() {
-            return queue.size() < capacity || !accepting;
-        });
-        if (!accepting)
-            fatalError("ThreadPool::post after shutdown");
-        queue.push_back(std::move(task));
-    }
-    taskReady.notify_one();
-}
-
 bool
 ThreadPool::tryPost(std::function<void()> task)
 {
@@ -138,10 +122,22 @@ ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &body)
 
     // Idle workers accelerate the loop; the caller alone guarantees
     // completion, so a full queue (or a busy pool) is never a deadlock.
+    // One queued helper per worker is all the workers can use; more
+    // would sit stale in the queue, their loop long finished by the
+    // caller, taking the slots requests need.
+    auto helper = [this, drain]() {
+        queuedHelpers.fetch_sub(1, std::memory_order_relaxed);
+        drain();
+    };
     const size_t helpers = std::min(threadCount(), n - 1);
     for (size_t h = 0; h < helpers; ++h) {
-        if (!tryPost(drain))
+        // Relaxed: the count is a budget, not a publication.
+        if (queuedHelpers.fetch_add(1, std::memory_order_relaxed) >=
+                threadCount() ||
+            !tryPost(helper)) {
+            queuedHelpers.fetch_sub(1, std::memory_order_relaxed);
             break;
+        }
     }
     drain();
 
@@ -167,7 +163,6 @@ ThreadPool::shutdown()
         stopping = true;
     }
     taskReady.notify_all();
-    queueSpace.notify_all();
     for (auto &worker : workers) {
         if (worker.joinable())
             worker.join();
@@ -191,7 +186,6 @@ ThreadPool::workerLoop(size_t index)
             task = std::move(queue.front());
             queue.pop_front();
         }
-        queueSpace.notify_one();
         task();
     }
 }

@@ -7,17 +7,18 @@
  * parallelFor is deadlock-free under nesting: the calling thread
  * participates in its own loop, so a pool task that itself calls
  * parallelFor makes progress even when every worker is busy; idle
- * workers merely accelerate it.
+ * workers merely accelerate it. Its queued helpers are capped at one
+ * per worker, so stale ones cannot crowd requests out of the queue.
  */
 
 #ifndef DAC_SERVICE_THREAD_POOL_H
 #define DAC_SERVICE_THREAD_POOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,8 +38,8 @@ class ThreadPool final : public Executor
     {
         /** Worker threads (0 = one per hardware thread). */
         size_t threads = 0;
-        /** Maximum queued (not yet running) tasks; post() blocks and
-         *  tryPost() fails once the queue is this deep. */
+        /** Maximum queued (not yet running) tasks; tryPost() fails
+         *  once the queue is this deep. */
         size_t queueCapacity = 1024;
     };
 
@@ -60,30 +61,10 @@ class ThreadPool final : public Executor
     size_t queueDepth() const;
 
     /**
-     * Enqueue a fire-and-forget task; blocks while the queue is at
-     * capacity. fatalError() if the pool has been shut down.
+     * Enqueue a fire-and-forget task. Never blocks: false (and the
+     * task dropped) when the queue is full or the pool shut down.
      */
-    void post(std::function<void()> task);
-
-    /** Like post(), but fails instead of blocking on a full (or shut
-     *  down) queue. */
     bool tryPost(std::function<void()> task);
-
-    /**
-     * Enqueue a task and get a future for its result; exceptions the
-     * task throws surface when the future is consumed.
-     */
-    template <typename F>
-    auto
-    submit(F &&fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> result = task->get_future();
-        post([task]() { (*task)(); });
-        return result;
-    }
 
     /**
      * Run body(0..n-1) across the pool and the calling thread; see
@@ -103,10 +84,12 @@ class ThreadPool final : public Executor
 
     mutable std::mutex mutex;
     std::condition_variable taskReady; ///< signals workers: work/stop
-    std::condition_variable queueSpace; ///< signals posters: room freed
     std::deque<std::function<void()>> queue;
     std::vector<std::thread> workers;
     size_t capacity;
+    /** parallelFor helpers queued and not yet picked up; kept at or
+     *  below threadCount(). */
+    std::atomic<size_t> queuedHelpers{0};
     bool accepting = true;
     bool stopping = false;
 };

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "obs/flight_recorder.h"
 #include "service/service.h"
 #include "sparksim/simulator.h"
 
@@ -432,6 +434,107 @@ TEST(TuningServer, V2ReplyCarriesPhaseBreakdown)
         }
     }
     EXPECT_TRUE(sawSerialize);
+}
+
+/**
+ * One phase, one fact: every entry of a v2 reply's phase breakdown
+ * moved its `phase.<name>` histogram by exactly one observation of
+ * exactly that value, and left exactly one flight record under the
+ * request's wire id, at the phase's checkpoint, with the same value —
+ * on a cache miss (model-build listed) and on a hit.
+ */
+TEST(TuningServer, PhaseBreakdownAgreesWithHistogramsAndFlightRecords)
+{
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    service::ServiceOptions options;
+    options.threads = 2;
+    options.tuning.collect.datasetCount = 4;
+    options.tuning.collect.runsPerDataset = 12;
+    options.tuning.hm.firstOrder.maxTrees = 30;
+    options.tuning.ga.maxGenerations = 8;
+    service::TuningService service(sim, options);
+    ServerOptions serverOptions;
+    serverOptions.metrics = &service.metrics();
+    TuningServer server(service, serverOptions);
+    server.start();
+    obs::MetricsRegistry &metrics = service.metrics();
+
+    const auto flightPhaseOf = [](service::Phase phase) {
+        switch (phase) {
+        case service::Phase::Decode:
+            return obs::FlightPhase::Decode;
+        case service::Phase::Queue:
+            return obs::FlightPhase::QueueExit;
+        case service::Phase::CacheLookup:
+            return obs::FlightPhase::CacheLookup;
+        case service::Phase::ModelBuild:
+            return obs::FlightPhase::ModelBuild;
+        case service::Phase::Search:
+            return obs::FlightPhase::Search;
+        case service::Phase::Serialize:
+            return obs::FlightPhase::Serialize;
+        }
+        ADD_FAILURE() << "unmapped phase";
+        return obs::FlightPhase::Degraded;
+    };
+
+    Socket raw = connectTcp("127.0.0.1", server.port());
+    FrameDecoder decoder;
+    service::TuneRequest request = makeRequest("TS", 40.0);
+    request.seed = 7;
+    for (const uint32_t wireId : {41u, 42u}) {
+        const bool miss = wireId == 41u;
+        SCOPED_TRACE(miss ? "cache miss" : "cache hit");
+        std::vector<uint64_t> countsBefore(service::kPhaseCount);
+        std::vector<double> sumsBefore(service::kPhaseCount);
+        for (size_t p = 0; p < service::kPhaseCount; ++p) {
+            const obs::Histogram &h = metrics.histogram(
+                std::string("phase.") +
+                service::phaseName(static_cast<service::Phase>(p)));
+            countsBefore[p] = h.count();
+            sumsBefore[p] = h.total();
+        }
+
+        const auto frame = encodeFrame(MsgType::TuneRequest, wireId,
+                                       encodeTuneRequest(request));
+        ASSERT_TRUE(writeAll(raw.fd(), frame.data(), frame.size()));
+        const Frame reply = readFrame(raw, decoder);
+        ASSERT_EQ(reply.type, MsgType::TuneResponse);
+        ASSERT_EQ(reply.requestId, wireId);
+        const service::TuneResponse response = decodeTuneResponse(
+            reply.payload, conf::ConfigSpace::spark(), reply.version);
+        EXPECT_EQ(response.modelCacheHit, !miss);
+        EXPECT_EQ(response.phaseSec(service::Phase::ModelBuild) > 0.0,
+                  miss);
+
+        const auto records = obs::FlightRecorder::instance().snapshot();
+        ASSERT_EQ(response.phases.size(), miss ? 6u : 5u);
+        for (const service::PhaseTiming &timing : response.phases) {
+            const auto p = static_cast<size_t>(timing.phase);
+            SCOPED_TRACE(service::phaseName(timing.phase));
+            const obs::Histogram &h = metrics.histogram(
+                std::string("phase.") + service::phaseName(timing.phase));
+            EXPECT_EQ(h.count(), countsBefore[p] + 1);
+            EXPECT_DOUBLE_EQ(h.total(), sumsBefore[p] + timing.sec);
+
+            size_t matching = 0;
+            for (const obs::FlightRecord &record : records) {
+                if (record.requestId != wireId ||
+                    record.phase != flightPhaseOf(timing.phase))
+                    continue;
+                ++matching;
+                EXPECT_EQ(record.valueSec, timing.sec);
+            }
+            EXPECT_EQ(matching, 1u);
+        }
+    }
+    server.stop();
+
+    // The per-phase histograms are the only copy of the search and
+    // model-build timings.
+    const std::string json = metrics.renderJson();
+    EXPECT_EQ(json.find("latency.search"), std::string::npos);
+    EXPECT_EQ(json.find("latency.model_build"), std::string::npos);
 }
 
 TEST(TuningServer, UnknownFrameTypeGetsErrorAndKeepsConnection)

@@ -85,6 +85,23 @@ TEST(TuningServiceStress, ExhaustedRetriesDegradeToExpertConfig)
     EXPECT_EQ(service.metrics().counterValue("requests.failed"), 0u);
 }
 
+TEST(TuningServiceStress, DegradedCountsEveryAnswerNotEveryComputation)
+{
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    ServiceOptions opt = stressOptions();
+    opt.faults.failFirstModelBuilds = 100; // never succeeds
+    TuningService service(sim, opt);
+
+    // The duplicate is answered from the first item's computation, but
+    // it is still a degraded answer its caller receives.
+    auto futures = service.submitBatch({request("TS", 40), request("TS", 40)});
+    ASSERT_EQ(futures.size(), 2u);
+    for (auto &future : futures)
+        EXPECT_EQ(future.get().degradedReason, "model-failure");
+    EXPECT_EQ(service.metrics().counterValue("requests.degraded"), 2u);
+    EXPECT_EQ(service.metrics().counterValue("requests.served"), 2u);
+}
+
 TEST(TuningServiceStress, TinyDeadlineDegradesWithinIt)
 {
     sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());

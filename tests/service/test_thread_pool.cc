@@ -4,7 +4,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -13,33 +13,6 @@
 
 namespace dac::service {
 namespace {
-
-TEST(ThreadPool, SubmittedWorkExecutes)
-{
-    ThreadPool pool(2);
-    auto doubled = pool.submit([]() { return 21 * 2; });
-    EXPECT_EQ(doubled.get(), 42);
-
-    std::atomic<int> hits{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 20; ++i)
-        futures.push_back(pool.submit([&hits]() { ++hits; }));
-    for (auto &f : futures)
-        f.get();
-    EXPECT_EQ(hits.load(), 20);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto failing = pool.submit([]() -> int {
-        throw std::runtime_error("boom");
-    });
-    EXPECT_THROW(failing.get(), std::runtime_error);
-
-    // The pool survives a throwing task.
-    EXPECT_EQ(pool.submit([]() { return 7; }).get(), 7);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
 {
@@ -65,14 +38,16 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock)
 {
     // A pool task running parallelFor must finish even when every
     // worker is occupied: the calling thread drains its own loop.
+    std::promise<void> finished; // outlives the pool's workers
     ThreadPool pool(2);
     std::atomic<int> total{0};
-    auto done = pool.submit([&]() {
+    ASSERT_TRUE(pool.tryPost([&]() {
         pool.parallelFor(8, [&](size_t) {
             pool.parallelFor(4, [&](size_t) { ++total; });
         });
-    });
-    done.get();
+        finished.set_value();
+    }));
+    finished.get_future().get();
     EXPECT_EQ(total.load(), 32);
 }
 
@@ -82,16 +57,34 @@ TEST(ThreadPool, ShutdownDrainsQueuedWork)
     {
         ThreadPool pool(1);
         for (int i = 0; i < 16; ++i) {
-            pool.post([&completed]() {
+            ASSERT_TRUE(pool.tryPost([&completed]() {
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
                 ++completed;
-            });
+            }));
         }
         pool.shutdown();
         EXPECT_EQ(completed.load(), 16);
-        EXPECT_THROW(pool.post([]() {}), std::runtime_error);
+        EXPECT_FALSE(pool.tryPost([]() {}));
     }
     EXPECT_EQ(completed.load(), 16);
+}
+
+/** Occupy every worker of `pool` until the returned promise is set. */
+std::promise<void>
+gateWorkers(ThreadPool &pool)
+{
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    std::atomic<size_t> running{0};
+    for (size_t i = 0; i < pool.threadCount(); ++i) {
+        EXPECT_TRUE(pool.tryPost([gate, &running]() {
+            ++running;
+            gate.wait();
+        }));
+    }
+    while (running.load() < pool.threadCount())
+        std::this_thread::yield();
+    return release;
 }
 
 TEST(ThreadPool, BoundedQueueRejectsTryPostWhenFull)
@@ -102,16 +95,35 @@ TEST(ThreadPool, BoundedQueueRejectsTryPostWhenFull)
     ThreadPool pool(options);
 
     // Block the single worker, then fill the two queue slots.
-    std::promise<void> release;
-    std::shared_future<void> gate = release.get_future().share();
-    pool.post([gate]() { gate.wait(); });
-    while (pool.queueDepth() > 0)
-        std::this_thread::yield();
-
-    pool.post([]() {});
-    pool.post([]() {});
+    std::promise<void> release = gateWorkers(pool);
+    EXPECT_TRUE(pool.tryPost([]() {}));
+    EXPECT_TRUE(pool.tryPost([]() {}));
     EXPECT_EQ(pool.queueDepth(), 2u);
     EXPECT_FALSE(pool.tryPost([]() {}));
+
+    release.set_value();
+    pool.shutdown();
+    EXPECT_EQ(pool.queueDepth(), 0u);
+}
+
+TEST(ThreadPool, ParallelForHelpersCannotFillTheQueue)
+{
+    // With every worker busy, each parallelFor queues helpers that go
+    // stale once the caller finishes the loop alone. They must stay
+    // capped at one per worker, leaving the rest of the queue to
+    // requests.
+    ThreadPool::Options options;
+    options.threads = 2;
+    options.queueCapacity = 8;
+    ThreadPool pool(options);
+    std::promise<void> release = gateWorkers(pool);
+
+    std::atomic<int> total{0};
+    for (int call = 0; call < 10; ++call)
+        pool.parallelFor(4, [&](size_t) { ++total; });
+    EXPECT_EQ(total.load(), 40);
+    EXPECT_LE(pool.queueDepth(), pool.threadCount());
+    EXPECT_TRUE(pool.tryPost([]() {}));
 
     release.set_value();
     pool.shutdown();
