@@ -53,9 +53,9 @@ void
 BM_SimulatorRunBatch(benchmark::State &state)
 {
     // The batched cost sweep: K distinct configurations against one
-    // job through runBatch, whose chunks reuse one scheduler scratch
-    // — the shape every collection campaign and model validation
-    // sweep has. items/s counts simulated runs.
+    // job, back to back through one reused scheduler scratch — the
+    // shape every collection campaign and model validation sweep has.
+    // items/s counts simulated runs.
     const auto &w = workloads::Registry::instance().byAbbrev("WC");
     const auto dag = w.buildDag(w.paperSizes().back());
     const size_t count = static_cast<size_t>(state.range(0));
@@ -68,9 +68,12 @@ BM_SimulatorRunBatch(benchmark::State &state)
         configs.push_back(gen.random());
         seeds.push_back(i + 1);
     }
+    sparksim::SparkSimulator::Scratch scratch;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            simulator().runBatch(dag, configs, seeds).back().timeSec);
+        for (size_t i = 0; i < count; ++i) {
+            benchmark::DoNotOptimize(
+                simulator().run(dag, configs[i], seeds[i], scratch).timeSec);
+        }
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(count));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <stdexcept>
 #include <utility>
 
 #include "net/protocol.h"
@@ -44,14 +46,11 @@ class Connection : public std::enable_shared_from_this<Connection>
     Connection(TuningServer &server, TuningServer::Loop &home,
                Socket socket, size_t max_frame)
         : server(server), home(home), socket(std::move(socket)),
-          decoder(max_frame)
+          decoder(max_frame), fdAtAttach(this->socket.fd())
     {
     }
 
     [[nodiscard]] int fd() const { return socket.fd(); }
-
-    /** The event loop this connection is pinned to. */
-    [[nodiscard]] EventLoop &homeLoop() { return home.loop; }
 
     /** The loop slot (event loop + cached metrics) it is pinned to. */
     [[nodiscard]] TuningServer::Loop &homeSlot() { return home; }
@@ -91,13 +90,6 @@ class Connection : public std::enable_shared_from_this<Connection>
         home.loop.unwatch(fd());
         socket.close();
         server.onConnectionClosed(home, fdAtAttach);
-    }
-
-    /** Remember the fd used as the map key (socket.close() wipes it). */
-    void
-    markAttached()
-    {
-        fdAtAttach = fd();
     }
 
   private:
@@ -151,10 +143,7 @@ class Connection : public std::enable_shared_from_this<Connection>
                 1, std::memory_order_relaxed);
             switch (frame.type) {
             case MsgType::Ping:
-                appendFrame(inlineReplies, MsgType::Pong,
-                            frame.requestId, nullptr, 0, frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
+                reply(inlineReplies, frame, MsgType::Pong, {});
                 break;
             case MsgType::TuneRequest:
                 try {
@@ -171,113 +160,59 @@ class Connection : public std::enable_shared_from_this<Connection>
                     ids.push_back(frame.requestId);
                     versions.push_back(frame.version);
                 } catch (const ProtocolError &e) {
-                    server.counters.protocolErrors.fetch_add(
-                        1, std::memory_order_relaxed);
-                    const auto payload = encodeError(e.what());
-                    appendFrame(inlineReplies, MsgType::Error,
-                                frame.requestId, payload.data(),
-                                payload.size(), frame.version);
-                    server.counters.framesSent.fetch_add(
-                        1, std::memory_order_relaxed);
+                    replyError(inlineReplies, frame, e.what());
                 }
                 break;
-            case MsgType::Stats: {
+            case MsgType::Stats:
                 // Served inline on the loop thread: a stats snapshot
                 // must come back even when the worker pool is wedged —
                 // that is exactly when the caller wants it.
-                std::vector<uint8_t> payload;
-                MsgType replyType = MsgType::StatsReply;
-                try {
-                    const StatsRequest statsRequest =
-                        decodeStatsRequest(frame.payload);
-                    payload = encodeTextReply(
-                        server.renderStats(statsRequest.format));
-                } catch (const ProtocolError &e) {
-                    server.counters.protocolErrors.fetch_add(
-                        1, std::memory_order_relaxed);
-                    replyType = MsgType::Error;
-                    payload = encodeError(e.what());
-                }
-                appendFrame(inlineReplies, replyType, frame.requestId,
-                            payload.data(), payload.size(),
-                            frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
+                replyInline(inlineReplies, frame, MsgType::StatsReply,
+                            [&]() {
+                                return server.renderStats(
+                                    decodeStatsRequest(frame.payload)
+                                        .format);
+                            });
                 break;
-            }
-            case MsgType::FlightDump: {
-                std::vector<uint8_t> payload;
-                MsgType replyType = MsgType::FlightDumpReply;
-                try {
-                    const FlightDumpRequest dumpRequest =
-                        decodeFlightDumpRequest(frame.payload);
-                    // Every record renders to well under 160 bytes of
-                    // JSON, so this cap keeps the reply inside the
-                    // frame payload ceiling (1 MiB) with headroom;
-                    // the dump reports how many records it dropped.
-                    constexpr size_t kMaxWireDumpRecords = 6000;
-                    payload = encodeTextReply(
-                        obs::FlightRecorder::instance().dumpJson(
-                            dumpRequest.windowSec, kMaxWireDumpRecords));
-                } catch (const ProtocolError &e) {
-                    server.counters.protocolErrors.fetch_add(
-                        1, std::memory_order_relaxed);
-                    replyType = MsgType::Error;
-                    payload = encodeError(e.what());
-                }
-                appendFrame(inlineReplies, replyType, frame.requestId,
-                            payload.data(), payload.size(),
-                            frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
+            case MsgType::FlightDump:
+                replyInline(
+                    inlineReplies, frame, MsgType::FlightDumpReply, [&]() {
+                        const FlightDumpRequest dumpRequest =
+                            decodeFlightDumpRequest(frame.payload);
+                        // Every record renders to well under 160 bytes
+                        // of JSON, so this cap keeps the reply inside
+                        // the frame payload ceiling (1 MiB) with
+                        // headroom; the dump reports how many records
+                        // it dropped.
+                        constexpr size_t kMaxWireDumpRecords = 6000;
+                        return obs::FlightRecorder::instance().dumpJson(
+                            dumpRequest.windowSec, kMaxWireDumpRecords);
+                    });
                 break;
-            }
-            case MsgType::Snapshot: {
+            case MsgType::Snapshot:
                 // Like Stats: answered inline on the loop thread, so
                 // an operator can trigger a persist-now pass even when
                 // the worker pool is saturated with tune requests.
-                std::vector<uint8_t> payload;
-                MsgType replyType = MsgType::SnapshotReply;
-                try {
-                    const SnapshotRequest snapRequest =
-                        decodeSnapshotRequest(frame.payload);
-                    payload = encodeTextReply(
-                        server.renderSnapshot(snapRequest.op));
-                } catch (const ProtocolError &e) {
-                    server.counters.protocolErrors.fetch_add(
-                        1, std::memory_order_relaxed);
-                    replyType = MsgType::Error;
-                    payload = encodeError(e.what());
-                }
-                appendFrame(inlineReplies, replyType, frame.requestId,
-                            payload.data(), payload.size(),
-                            frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
+                replyInline(inlineReplies, frame, MsgType::SnapshotReply,
+                            [&]() {
+                                return server.renderSnapshot(
+                                    decodeSnapshotRequest(frame.payload)
+                                        .op);
+                            });
                 break;
-            }
             case MsgType::TuneResponse:
             case MsgType::Error:
             case MsgType::Pong:
             case MsgType::StatsReply:
             case MsgType::FlightDumpReply:
             case MsgType::SnapshotReply:
-            default: {
+            default:
                 // Response-side frames a client has no business
                 // sending, and type bytes this build does not know
                 // (the decoder passes them through — framing is still
                 // aligned): answer with an error but keep the stream.
-                server.counters.protocolErrors.fetch_add(
-                    1, std::memory_order_relaxed);
-                const auto payload =
-                    encodeError("unexpected frame type");
-                appendFrame(inlineReplies, MsgType::Error,
-                            frame.requestId, payload.data(),
-                            payload.size(), frame.version);
-                server.counters.framesSent.fetch_add(
-                    1, std::memory_order_relaxed);
+                replyError(inlineReplies, frame, "unexpected frame type");
                 break;
-            }
             }
         }
 
@@ -296,6 +231,45 @@ class Connection : public std::enable_shared_from_this<Connection>
         }
         if (sawEof || sawError)
             close();
+    }
+
+    /** Append one inline reply frame, echoing the request's id and
+     *  wire version. */
+    void
+    reply(std::vector<uint8_t> &out, const Frame &frame, MsgType type,
+          const std::vector<uint8_t> &payload)
+    {
+        appendFrame(out, type, frame.requestId, payload.data(),
+                    payload.size(), frame.version);
+        server.counters.framesSent.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    /** Count a protocol error and answer it with an Error frame. */
+    void
+    replyError(std::vector<uint8_t> &out, const Frame &frame,
+               const std::string &message)
+    {
+        server.counters.protocolErrors.fetch_add(1,
+                                                 std::memory_order_relaxed);
+        reply(out, frame, MsgType::Error, encodeError(message));
+    }
+
+    /** Answer a query frame inline with the text `render` returns;
+     *  `render` decodes the request, and its ProtocolError becomes an
+     *  Error frame. */
+    template <typename Render>
+    void
+    replyInline(std::vector<uint8_t> &out, const Frame &frame,
+                MsgType type, Render render)
+    {
+        std::vector<uint8_t> payload;
+        try {
+            payload = encodeTextReply(render());
+        } catch (const ProtocolError &e) {
+            replyError(out, frame, e.what());
+            return;
+        }
+        reply(out, frame, type, payload);
     }
 
     void
@@ -337,7 +311,8 @@ class Connection : public std::enable_shared_from_this<Connection>
     size_t outOffset = 0;
     bool writeInterest = false;
     bool closed = false;
-    int fdAtAttach = -1;
+    /** The fd used as the map key (socket.close() wipes fd()). */
+    const int fdAtAttach;
 };
 
 TuningServer::TuningServer(service::TuningBackend &backend,
@@ -347,8 +322,6 @@ TuningServer::TuningServer(service::TuningBackend &backend,
 {
     DAC_ASSERT(this->options.eventLoops > 0,
                "server needs at least one event loop");
-    DAC_ASSERT(this->options.replyThreads > 0,
-               "server needs at least one reply thread");
 }
 
 TuningServer::~TuningServer()
@@ -362,9 +335,6 @@ TuningServer::start()
     DAC_ASSERT(!started.load(std::memory_order_acquire),
                "TuningServer::start called twice");
     listener = listenTcp(options.host, options.port);
-
-    replyPool = std::make_unique<service::ThreadPool>(
-        service::ThreadPool::Options{options.replyThreads, 1024});
 
     loops.reserve(options.eventLoops);
     for (size_t i = 0; i < options.eventLoops; ++i)
@@ -385,7 +355,10 @@ TuningServer::start()
     }
     for (auto &loop : loops) {
         Loop *raw = loop.get();
-        loop->thread = std::thread([raw]() { raw->loop.run(); });
+        loop->thread = std::thread([raw]() {
+            obs::FlightRecorder::claimThreadRing();
+            raw->loop.run();
+        });
     }
 
     // The listener lives on loop 0.
@@ -427,7 +400,6 @@ TuningServer::adopt(Loop &loop, int fd)
 {
     auto conn = std::make_shared<Connection>(*this, loop, Socket(fd),
                                              options.maxFrameBytes);
-    conn->markAttached();
     loop.connections.emplace(fd, conn);
     conn->attach();
 }
@@ -445,37 +417,28 @@ TuningServer::dispatchBatch(const std::shared_ptr<Connection> &conn,
                             std::vector<uint8_t> versions,
                             std::vector<service::TuneRequest> requests)
 {
-    counters.batchesSubmitted.fetch_add(1, std::memory_order_relaxed);
-    counters.requestsSubmitted.fetch_add(requests.size(),
-                                         std::memory_order_relaxed);
-    atomicMax(counters.maxBatch, requests.size());
-
-    auto futures = backend->submitBatch(std::move(requests));
-    DAC_ASSERT(futures.size() == ids.size(),
-               "backend returned a short future batch");
-
-    // The reply task is the only place the serving layer blocks:
-    // waiting on backend futures happens on the reply pool, never on
-    // an event loop. The connection is held weakly — if it dies while
-    // the batch is in flight, the responses are simply dropped.
+    // `answer` runs wherever the batch's last item is answered — a
+    // service worker, or inline here — so it never waits: it encodes
+    // the batch and hands the bytes to the owning loop. The
+    // connection is held weakly — if it dies while the batch is in
+    // flight, the responses are simply dropped.
     std::weak_ptr<Connection> weak = conn;
     Loop *home = &conn->homeSlot();
-    // Copies for the saturation path below; the task owns the real
-    // vectors once constructed.
-    const std::vector<uint32_t> degradeIds = ids;
-    const std::vector<uint8_t> degradeVersions = versions;
-    auto task = [this, weak, home, ids = std::move(ids),
-                 versions = std::move(versions),
-                 futures = std::make_shared<
-                     std::vector<std::future<service::TuneResponse>>>(
-                     std::move(futures))]() mutable {
+    const size_t n = requests.size();
+    auto answer = [this, weak, home, ids = std::move(ids),
+                   versions = std::move(versions)](
+                      std::vector<service::TuneOutcome> outcomes) {
+        DAC_ASSERT(outcomes.size() == ids.size(),
+                   "backend answered a short batch");
         std::vector<uint8_t> replies;
-        for (size_t i = 0; i < futures->size(); ++i) {
+        for (size_t i = 0; i < outcomes.size(); ++i) {
             std::vector<uint8_t> payload;
             MsgType type = MsgType::TuneResponse;
             double latencySec = 0.0;
             try {
-                service::TuneResponse response = (*futures)[i].get();
+                if (outcomes[i].error)
+                    std::rethrow_exception(outcomes[i].error);
+                service::TuneResponse &response = outcomes[i].response;
                 latencySec = response.latencySec;
                 const auto serializeStart =
                     std::chrono::steady_clock::now();
@@ -525,26 +488,36 @@ TuningServer::dispatchBatch(const std::shared_ptr<Connection> &conn,
                                         writeSec);
         });
     };
-    if (replyPool->tryPost(std::move(task)))
-        return;
 
-    // Reply pool saturated: answer the whole batch with inline errors
-    // rather than blocking this event loop on the pool's queueSpace.
-    // The backend still fulfills the dropped futures — under overload
-    // that wasted work is the lesser evil, and the client gets an
-    // immediate, honest answer instead of a stalled connection.
-    counters.repliesDegraded.fetch_add(degradeIds.size(),
-                                       std::memory_order_relaxed);
-    std::vector<uint8_t> replies;
-    const auto payload = encodeError("reply pool saturated");
-    for (size_t i = 0; i < degradeIds.size(); ++i) {
-        appendFrame(replies, MsgType::Error, degradeIds[i],
-                    payload.data(), payload.size(), degradeVersions[i]);
-        counters.framesSent.fetch_add(1, std::memory_order_relaxed);
-        if (home->redErrors != nullptr)
-            home->redErrors->increment();
+    bool stopping = false;
+    {
+        std::lock_guard<std::mutex> lock(inFlightMutex);
+        stopping = draining;
+        if (!stopping)
+            ++batchesInFlight;
     }
-    conn->send(replies);
+    if (stopping) {
+        // stop() is draining: answer at once rather than start work
+        // whose completion could outlive the server.
+        const auto error =
+            std::make_exception_ptr(std::runtime_error("server stopping"));
+        answer(std::vector<service::TuneOutcome>(n, {{}, error}));
+        return;
+    }
+    counters.batchesSubmitted.fetch_add(1, std::memory_order_relaxed);
+    counters.requestsSubmitted.fetch_add(n, std::memory_order_relaxed);
+    atomicMax(counters.maxBatch, n);
+    backend->submitBatch(
+        std::move(requests),
+        [this, answer = std::move(answer)](
+            std::vector<service::TuneOutcome> outcomes) {
+            answer(std::move(outcomes));
+            // Last touch of the server: stop() may return once this
+            // lands.
+            std::lock_guard<std::mutex> lock(inFlightMutex);
+            if (--batchesInFlight == 0)
+                inFlightIdle.notify_all();
+        });
 }
 
 void
@@ -598,9 +571,15 @@ TuningServer::stop()
     loop0->loop.runInLoop(
         [loop0, listen_fd]() { loop0->loop.unwatch(listen_fd); });
 
-    // 2. Drain in-flight replies while the loops still run, so every
-    //    response already promised gets encoded and queued.
-    replyPool->shutdown();
+    // 2. Hand the backend no new batch, and wait out the ones in
+    //    flight while the loops still run, so every answer already
+    //    promised gets encoded and queued, and no completion touches
+    //    the server after it is gone.
+    {
+        std::unique_lock<std::mutex> lock(inFlightMutex);
+        draining = true;
+        inFlightIdle.wait(lock, [this]() { return batchesInFlight == 0; });
+    }
 
     // 3. Stop the loops (each drains its pending sends on exit), join,
     //    and close whatever connections remain.
@@ -632,8 +611,6 @@ TuningServer::stats() const
     out.maxBatch = counters.maxBatch.load(std::memory_order_relaxed);
     out.protocolErrors =
         counters.protocolErrors.load(std::memory_order_relaxed);
-    out.repliesDegraded =
-        counters.repliesDegraded.load(std::memory_order_relaxed);
     return out;
 }
 

@@ -10,10 +10,11 @@
  *    state (decoder, write buffer) is single-threaded by construction;
  *  - frames drained from a connection in one readiness cycle form one
  *    batch, submitted to the backend with submitBatch();
- *  - a small reply pool waits on the backend's futures (the only
- *    blocking waits in the layer) and hands encoded responses back to
- *    the owning loop, which coalesces every response of a batch into
- *    a single kernel write;
+ *  - the backend calls the batch's completion once, when its last
+ *    item is answered; the completion encodes every response and
+ *    hands the bytes to the owning loop, which sends them in a single
+ *    kernel write. Nothing in the layer waits on an answer, so a slow
+ *    batch delays only its own connection's replies;
  *  - responses may interleave across batches; the request id is the
  *    correlation, not arrival order.
  *
@@ -33,10 +34,12 @@
 #define DAC_NET_SERVER_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,7 +49,7 @@
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "service/backend.h"
-#include "service/thread_pool.h"
+#include "service/request.h"
 
 namespace dac::net {
 
@@ -64,8 +67,6 @@ struct ServerOptions
     uint16_t port = 0;
     /** Worker event loops; connections are pinned round-robin. */
     size_t eventLoops = 2;
-    /** Threads draining backend futures into response writes. */
-    size_t replyThreads = 2;
     /** Frame payload ceiling enforced on ingress. */
     size_t maxFrameBytes = kMaxPayloadBytes;
     /** Readiness backend (tests exercise the poll fallback). */
@@ -101,9 +102,6 @@ class TuningServer
         uint64_t maxBatch = 0;
         /** Frame/payload violations (each also closes or errors). */
         uint64_t protocolErrors = 0;
-        /** Requests answered with an inline error because the reply
-         *  pool was saturated (the loop never blocks on it). */
-        uint64_t repliesDegraded = 0;
     };
 
     TuningServer(service::TuningBackend &backend, ServerOptions options);
@@ -123,8 +121,10 @@ class TuningServer
     [[nodiscard]] uint16_t port() const;
 
     /**
-     * Stop accepting, drain in-flight replies, and join every loop.
-     * Connections still open are closed. Idempotent. The backend is
+     * Stop accepting, answer requests that arrive from here on with
+     * an Error frame without the backend, wait until every batch in
+     * flight has been answered and its reply queued, and join every
+     * loop. Connections still open are closed. Idempotent. The backend is
      * not shut down — the server does not own it.
      */
     void stop();
@@ -194,8 +194,13 @@ class TuningServer
     std::vector<std::unique_ptr<Loop>> loops;
     /** Round-robin pin cursor (listener handler only). */
     size_t nextLoop = 0;
-    /** Blocks on backend futures so the loops never do. */
-    std::unique_ptr<service::ThreadPool> replyPool;
+    /** Batches handed to the backend whose completion has not yet
+     *  run; stop() sets `draining`, so no new batch is handed over,
+     *  and waits for zero before stopping the loops. */
+    std::mutex inFlightMutex;
+    std::condition_variable inFlightIdle;
+    size_t batchesInFlight = 0;
+    bool draining = false;
     std::atomic<bool> started{false};
     std::atomic<bool> stopped{false};
     std::function<std::string(StatsFormat)> statsProvider;
@@ -215,7 +220,6 @@ class TuningServer
         std::atomic<uint64_t> requestsSubmitted{0};
         std::atomic<uint64_t> maxBatch{0};
         std::atomic<uint64_t> protocolErrors{0};
-        std::atomic<uint64_t> repliesDegraded{0};
     };
     mutable AtomicStats counters;
 };

@@ -129,6 +129,13 @@ FlightRecorder::threadRing()
 }
 
 void
+FlightRecorder::claimThreadRing()
+{
+    if (enabled())
+        (void)instance().threadRing();
+}
+
+void
 FlightRecorder::record(uint64_t request_id, FlightPhase phase,
                        double value_sec, FlightReason reason,
                        uint16_t shard)

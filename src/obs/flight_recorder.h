@@ -123,6 +123,12 @@ class FlightRecorder
                        FlightReason reason = FlightReason::None,
                        uint16_t shard = 0);
 
+    /** Allocate the calling thread's ring now instead of at its first
+     *  record; a no-op while disabled, so obs-off stacks allocate no
+     *  ring. Long-lived threads (pool workers, event loops) call it
+     *  at start, so no request pays for zeroing a fresh ring. */
+    static void claimThreadRing();
+
     /** Records accepted since process start (monotonic; the
      *  zero-overhead test pins this flat while disabled). */
     [[nodiscard]] uint64_t recordCount() const;

@@ -200,190 +200,130 @@ TuningService::~TuningService()
 std::future<TuneResponse>
 TuningService::submit(TuneRequest request)
 {
-    const std::string key = request.cacheKey();
-    const uint32_t wire_id = request.wireId;
-    std::promise<TuneResponse> promise;
-    std::future<TuneResponse> future = promise.get_future();
-    std::shared_ptr<Pending> entry;
-    bool first = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!accepting)
-            fatalError("TuningService::submit after shutdown");
-        auto &slot = pending[key];
-        if (!slot) {
-            slot = std::make_shared<Pending>();
-            slot->request = std::move(request);
-            slot->submitted = std::chrono::steady_clock::now();
-            first = true;
-        }
-        entry = slot;
-        entry->waiters.push_back(std::move(promise));
-    }
-    requestsSubmitted.increment();
-    obs::FlightRecorder::record(wire_id, obs::FlightPhase::QueueEnter);
-    if (!first) {
-        requestsCoalesced.increment();
-        return future;
-    }
-
-    const bool posted = pool.tryPost([this, key, entry]() {
-        TuneResponse response;
-        std::exception_ptr error;
-        try {
-            response = process(entry->request, entry->submitted);
-        } catch (...) {
-            error = std::current_exception();
-        }
-        settle(key, entry, std::move(response), error);
-    });
-    if (!posted) {
-        // Backpressure: the queue is full, so answer every waiter
-        // inline with the expert fallback rather than blocking the
-        // caller or erroring (reject-with-reason).
-        settle(key, entry,
-               degrade(entry->request, {},
-                       obs::FlightReason::QueueSaturated, nullptr),
-               nullptr);
-    }
+    auto promise = std::make_shared<std::promise<TuneResponse>>();
+    std::future<TuneResponse> future = promise->get_future();
+    submitBatch({std::move(request)},
+                [promise](std::vector<TuneOutcome> outcomes) {
+                    if (outcomes[0].error)
+                        promise->set_exception(outcomes[0].error);
+                    else
+                        promise->set_value(std::move(outcomes[0].response));
+                });
     return future;
 }
 
-std::vector<std::future<TuneResponse>>
-TuningService::submitBatch(std::vector<TuneRequest> batch)
+void
+TuningService::submitBatch(std::vector<TuneRequest> batch, BatchDone done)
 {
-    std::vector<std::future<TuneResponse>> futures;
-    futures.reserve(batch.size());
-    if (batch.empty())
-        return futures;
-    if (batch.size() == 1) {
-        // A singleton batch is just a request; let it join the
-        // cross-request pending/coalescing machinery.
-        futures.push_back(submit(std::move(batch.front())));
-        return futures;
+    const size_t n = batch.size();
+    if (n == 0) {
+        done({});
+        return;
+    }
+    std::vector<std::string> keys;
+    keys.reserve(n);
+    for (const TuneRequest &request : batch) {
+        keys.push_back(request.cacheKey());
+        obs::FlightRecorder::record(request.wireId,
+                                    obs::FlightPhase::QueueEnter);
     }
 
-    /** One drained readiness cycle's worth of requests. */
-    struct BatchState
-    {
-        std::vector<TuneRequest> requests;
-        std::vector<std::promise<TuneResponse>> promises;
-        std::chrono::steady_clock::time_point submitted;
-    };
-    auto state = std::make_shared<BatchState>();
-    state->requests = std::move(batch);
-    state->promises.resize(state->requests.size());
-    state->submitted = std::chrono::steady_clock::now();
-    for (auto &promise : state->promises)
-        futures.push_back(promise.get_future());
-    const size_t n = state->requests.size();
-
+    auto state = std::make_shared<Batch>(std::vector<TuneOutcome>(n), n,
+                                         std::move(done));
+    auto leaders = std::make_shared<std::vector<std::shared_ptr<Pending>>>();
+    const auto submitted = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> lock(mutex);
         if (!accepting)
             fatalError("TuningService::submitBatch after shutdown");
+        for (size_t i = 0; i < n; ++i) {
+            auto &slot = pending[keys[i]];
+            if (!slot) {
+                slot = std::make_shared<Pending>();
+                slot->key = std::move(keys[i]);
+                slot->request = std::move(batch[i]);
+                leaders->push_back(slot);
+            }
+            slot->waiters.push_back({state, i, submitted});
+        }
     }
     requestsSubmitted.increment(n);
-    requestsBatched.increment(n);
-    batchesSubmitted.increment();
-    if (obs::FlightRecorder::enabled()) {
-        for (const TuneRequest &request : state->requests) {
-            obs::FlightRecorder::record(request.wireId,
-                                        obs::FlightPhase::QueueEnter);
-        }
-    }
+    requestsCoalesced.increment(n - leaders->size());
+    if (leaders->empty())
+        return;
 
-    // The whole batch is one pool task: back-to-back items reuse the
-    // shard-warm model (the first miss builds it, the rest are hits),
-    // and duplicate cache keys inside the batch are answered from the
-    // first occurrence without re-searching.
-    const bool posted = pool.tryPost([this, state]() {
-        std::map<std::string, size_t> firstByKey;
-        std::vector<TuneResponse> responses(state->requests.size());
-        for (size_t i = 0; i < state->requests.size(); ++i) {
-            const TuneRequest &request = state->requests[i];
+    // The batch's leaders are one pool task: back-to-back items reuse
+    // the shard-warm model (the first miss builds it, the rest hit).
+    const bool posted = pool.tryPost([this, leaders, submitted]() {
+        for (const auto &entry : *leaders) {
+            TuneResponse response;
+            std::exception_ptr error;
             try {
-                const std::string key = request.cacheKey();
-                const auto first = firstByKey.find(key);
-                if (first == firstByKey.end()) {
-                    responses[i] = process(request, state->submitted);
-                    firstByKey.emplace(key, i);
-                } else {
-                    responses[i] = responses[first->second];
-                    responses[i].coalesced = true;
-                    requestsCoalesced.increment();
-                }
-                // Copy, not move: a later duplicate of this key copies
-                // its answer from responses[i].
-                answer({&state->promises[i], 1}, responses[i],
-                       state->submitted);
+                response = process(entry->request, submitted);
             } catch (...) {
-                requestsFailed.increment();
-                state->promises[i].set_exception(
-                    std::current_exception());
+                error = std::current_exception();
             }
+            settle(*entry, std::move(response), error);
         }
     });
-    if (!posted) {
-        // Backpressure: degrade the whole batch inline, same contract
-        // as the single-request path.
-        for (size_t i = 0; i < n; ++i) {
-            answer({&state->promises[i], 1},
-                   degrade(state->requests[i], {},
-                           obs::FlightReason::QueueSaturated, nullptr),
-                   state->submitted);
-        }
+    if (posted)
+        return;
+    // Backpressure: the queue is full, so answer every waiter inline
+    // with the expert fallback rather than blocking the caller or
+    // erroring (reject-with-reason).
+    for (const auto &entry : *leaders) {
+        settle(*entry,
+               degrade(entry->request, {},
+                       obs::FlightReason::QueueSaturated, nullptr),
+               nullptr);
     }
-    return futures;
 }
 
 void
-TuningService::settle(const std::string &key,
-                      const std::shared_ptr<Pending> &entry,
-                      TuneResponse response, std::exception_ptr error)
+TuningService::settle(Pending &entry, TuneResponse response,
+                      std::exception_ptr error)
 {
     {
-        // Past this point no submit() can coalesce onto the entry, so
+        // Past this point no submit can coalesce onto the entry, so
         // its waiter list is final.
         std::lock_guard<std::mutex> lock(mutex);
-        const auto it = pending.find(key);
-        DAC_ASSERT(it != pending.end() && it->second == entry,
+        const auto it = pending.find(entry.key);
+        DAC_ASSERT(it != pending.end() && it->second.get() == &entry,
                    "lost a pending request");
         pending.erase(it);
     }
-    if (!error) {
-        answer(entry->waiters, std::move(response), entry->submitted);
+    const size_t n = entry.waiters.size();
+    if (error) {
+        requestsFailed.increment(n);
+        for (const Waiter &waiter : entry.waiters)
+            waiter.batch->fill(waiter.index, {{}, error});
         return;
     }
-    requestsFailed.increment(entry->waiters.size());
-    for (auto &waiter : entry->waiters)
-        waiter.set_exception(error);
-}
-
-void
-TuningService::answer(std::span<std::promise<TuneResponse>> waiters,
-                      TuneResponse response,
-                      std::chrono::steady_clock::time_point submitted)
-{
-    // Account before fulfilling any promise: a waiter may read the
-    // counters the instant its future resolves.
-    response.latencySec = elapsedSec(submitted);
-    const size_t n = waiters.size();
+    // Account before completing any batch: a caller may read the
+    // counters the instant its answer arrives. Each copy's latency
+    // runs from its own batch's submit.
+    const auto answered = std::chrono::steady_clock::now();
+    const auto latencySec = [answered](const Waiter &waiter) {
+        return std::chrono::duration<double>(answered - waiter.submitted)
+            .count();
+    };
     // A queue-saturated answer never ran: rejected, not served.
     if (response.degradedReason ==
         obs::flightReasonName(obs::FlightReason::QueueSaturated)) {
         requestsRejected.increment(n);
     } else {
-        for (size_t i = 0; i < n; ++i)
-            requestLatency.observe(response.latencySec);
+        for (const Waiter &waiter : entry.waiters)
+            requestLatency.observe(latencySec(waiter));
         requestsServed.increment(n);
     }
     if (response.degraded)
         requestsDegraded.increment(n);
     for (size_t i = 0; i < n; ++i) {
         TuneResponse copy = response;
+        copy.latencySec = latencySec(entry.waiters[i]);
         copy.coalesced = copy.coalesced || i > 0;
-        waiters[i].set_value(std::move(copy));
+        entry.waiters[i].batch->fill(entry.waiters[i].index,
+                                     {std::move(copy), nullptr});
     }
 }
 

@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -135,23 +134,24 @@ class TuningService final : public TuningBackend
 
     /**
      * Submit one tuning request; the future resolves when the request
-     * has been served (or faulted, e.g. unknown workload). Identical
-     * concurrent requests share a single computation.
+     * has been served (or faulted, e.g. unknown workload). A thin
+     * wrapper over a one-item submitBatch().
      */
-    std::future<TuneResponse> submit(TuneRequest request) override;
+    std::future<TuneResponse> submit(TuneRequest request);
 
     /**
      * Submit requests that arrived together (one wire readiness
-     * cycle): the whole batch runs as a single pool task, so a
-     * pipelined burst costs one queue slot, repeated keys after the
-     * first are shard-local cache hits on a warm model, and duplicate
-     * requests inside the batch are answered once and shared
-     * (coalesced flag set). Responses are identical to per-request
-     * submit(); a saturated queue degrades every item to the expert
-     * configuration ("queue-saturated"), like submit().
+     * cycle). Every item goes through one pending map: an item whose
+     * key is new leads a computation, and a repeated key — earlier in
+     * this batch or in flight from any earlier submit — waits on that
+     * computation and gets its answer (coalesced flag set). The
+     * batch's leaders run as a single pool task, so a pipelined burst
+     * costs one queue slot and repeated models are shard-local cache
+     * hits. A saturated queue answers every leader at once, inline,
+     * with the expert configuration ("queue-saturated").
      */
-    std::vector<std::future<TuneResponse>>
-    submitBatch(std::vector<TuneRequest> batch) override;
+    void submitBatch(std::vector<TuneRequest> batch,
+                     BatchDone done) override;
 
     /**
      * Stop accepting requests, serve everything already submitted,
@@ -200,13 +200,42 @@ class TuningService final : public TuningBackend
     ModelCache::SnapshotIo snapshotNow();
 
   private:
+    /** One submitted batch; `done` runs when its last item is
+     *  answered, on whichever thread answers it. */
+    struct Batch
+    {
+        /** Answer item `index`; the last answer completes the batch. */
+        void
+        fill(size_t index, TuneOutcome outcome)
+        {
+            outcomes[index] = std::move(outcome);
+            // acq_rel: the last filler sees every other item's outcome.
+            if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                done(std::move(outcomes));
+        }
+
+        std::vector<TuneOutcome> outcomes;
+        std::atomic<size_t> remaining;
+        BatchDone done;
+    };
+
+    /** A batch item waiting on a pending computation. */
+    struct Waiter
+    {
+        std::shared_ptr<Batch> batch;
+        size_t index = 0;
+        /** When the item's own batch was submitted: its latency
+         *  starts here, not at the leader's submit. */
+        std::chrono::steady_clock::time_point submitted;
+    };
+
     /** Requests waiting on one in-flight computation. */
     struct Pending
     {
-        /** The first submitter's request; the rest coalesced onto it. */
+        std::string key;
+        /** The leader's request; the rest coalesced onto it. */
         TuneRequest request;
-        std::vector<std::promise<TuneResponse>> waiters;
-        std::chrono::steady_clock::time_point submitted;
+        std::vector<Waiter> waiters;
     };
 
     /** Runs on a pool worker: the full pipeline for one request.
@@ -236,14 +265,14 @@ class TuningService final : public TuningBackend
      */
     TuneResponse degrade(const TuneRequest &request, TuneResponse response,
                          obs::FlightReason reason, obs::ScopedSpan *span);
-    /** Give every waiter `response` (all but the first coalesced) with
-     *  the latency since `submitted`, counting each answer first. */
-    void answer(std::span<std::promise<TuneResponse>> waiters,
-                TuneResponse response,
-                std::chrono::steady_clock::time_point submitted);
-    /** Unregister `key`'s pending entry and answer its waiters. */
-    void settle(const std::string &key, const std::shared_ptr<Pending> &entry,
-                TuneResponse response, std::exception_ptr error);
+    /**
+     * Unregister `entry` and answer its waiters: every one gets
+     * `response` (all but the first coalesced) with the latency since
+     * it was submitted, counted before any batch completes — or
+     * `error`.
+     */
+    void settle(Pending &entry, TuneResponse response,
+                std::exception_ptr error);
 
     const sparksim::SparkSimulator *sim;
     ServiceOptions options;
@@ -252,8 +281,6 @@ class TuningService final : public TuningBackend
     PhaseRecorder phaseRecorder{&registry};
     obs::Histogram &requestLatency = registry.histogram("latency.request");
     obs::Counter &requestsSubmitted = registry.counter("requests.submitted");
-    obs::Counter &requestsBatched = registry.counter("requests.batched");
-    obs::Counter &batchesSubmitted = registry.counter("batches.submitted");
     obs::Counter &requestsCoalesced = registry.counter("requests.coalesced");
     obs::Counter &requestsServed = registry.counter("requests.served");
     obs::Counter &requestsFailed = registry.counter("requests.failed");

@@ -4,6 +4,7 @@
 #include <exception>
 #include <string>
 
+#include "obs/flight_recorder.h"
 #include "obs/tracer.h"
 #include "support/logging.h"
 
@@ -173,6 +174,7 @@ void
 ThreadPool::workerLoop(size_t index)
 {
     obs::setThreadName("pool-" + std::to_string(index));
+    obs::FlightRecorder::claimThreadRing();
     for (;;) {
         std::function<void()> task;
         {

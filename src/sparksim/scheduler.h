@@ -83,7 +83,7 @@ struct StageSchedule
  * tuning request sweeps thousands of stage schedules (configurations
  * x stages x iterations); without a scratch each sweep pays one heap
  * allocation per stage for the slot heap. Callers that loop — the
- * simulator's runBatch, the collector's chunked runs — carry one
+ * collector's chunked runs, model validation sweeps — carry one
  * scratch per worker thread and the whole sweep allocates only until
  * the high-water mark is reached. Contents are transient; only the
  * capacity persists between calls.

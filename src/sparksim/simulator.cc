@@ -566,37 +566,4 @@ SparkSimulator::run(const JobDag &job, const conf::Configuration &config,
     return result;
 }
 
-namespace {
-
-/** Runs per batch chunk: one scratch (and one executor task) covers
- *  this many back-to-back simulations. */
-constexpr size_t kRunChunk = 8;
-
-} // namespace
-
-std::vector<RunResult>
-SparkSimulator::runBatch(const JobDag &job,
-                         const std::vector<conf::Configuration> &configs,
-                         const std::vector<uint64_t> &seeds,
-                         Executor *executor) const
-{
-    DAC_ASSERT(configs.size() == seeds.size(),
-               "runBatch: one seed per configuration");
-    std::vector<RunResult> out(configs.size());
-    // Each run is independent and deterministic in (config, seed), so
-    // chunks can land on any worker in any order; chunking exists so
-    // a Scratch (and its high-water buffers) is reused across the
-    // chunk's runs instead of rebuilt per run.
-    const size_t chunks = (configs.size() + kRunChunk - 1) / kRunChunk;
-    parallelFor(executor, chunks, [&](size_t c) {
-        const size_t first = c * kRunChunk;
-        const size_t last =
-            std::min(configs.size(), first + kRunChunk);
-        Scratch scratch;
-        for (size_t i = first; i < last; ++i)
-            out[i] = run(job, configs[i], seeds[i], scratch);
-    });
-    return out;
-}
-
 } // namespace dac::sparksim

@@ -21,7 +21,6 @@
 #include "sparksim/faults.h"
 #include "sparksim/runresult.h"
 #include "sparksim/scheduler.h"
-#include "support/executor.h"
 
 namespace dac::sparksim {
 
@@ -88,20 +87,6 @@ class SparkSimulator
     RunResult run(const JobDag &job, const conf::Configuration &config,
                   uint64_t seed, const FaultSpec &faults,
                   Scratch &scratch) const;
-
-    /**
-     * Evaluate a batch of configurations against one job: out[i] is
-     * bit-identical to run(job, configs[i], seeds[i]). The batch is
-     * chunked over `executor` (nullptr = this thread), each chunk
-     * reusing one Scratch across its runs — the cost sweep the GA and
-     * the collector lean on, amortizing per-run setup the one-shot
-     * entry point cannot.
-     */
-    std::vector<RunResult>
-    runBatch(const JobDag &job,
-             const std::vector<conf::Configuration> &configs,
-             const std::vector<uint64_t> &seeds,
-             Executor *executor = nullptr) const;
 
     const cluster::ClusterSpec &clusterSpec() const { return *cluster; }
 

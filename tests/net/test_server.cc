@@ -10,7 +10,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <future>
+#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -28,74 +29,90 @@ namespace dac::net {
 namespace {
 
 /**
- * Backend double: answers instantly with a response derived from the
- * request (predictedTimeSec = 2 * nativeSize) and records the batch
- * sizes the server actually submitted.
+ * Backend double: answers with a response derived from the request
+ * (predictedTimeSec = 2 * nativeSize) and records the largest batch
+ * the server submitted. Batches asking about workload "GATE" stand in
+ * for a slow build: they are held until open() answers them, on the
+ * opening thread. Every other batch is answered at once, inline.
  */
 class StubBackend final : public service::TuningBackend
 {
   public:
-    std::future<service::TuneResponse>
-    submit(service::TuneRequest request) override
+    void
+    submitBatch(std::vector<service::TuneRequest> batch,
+                service::BatchDone done) override
     {
-        recordBatch(1);
-        std::promise<service::TuneResponse> promise;
-        promise.set_value(answer(request));
-        return promise.get_future();
-    }
-
-    std::vector<std::future<service::TuneResponse>>
-    submitBatch(std::vector<service::TuneRequest> batch) override
-    {
-        recordBatch(batch.size());
-        std::vector<std::future<service::TuneResponse>> futures;
-        futures.reserve(batch.size());
+        std::vector<service::TuneOutcome> outcomes;
         for (const auto &request : batch) {
-            std::promise<service::TuneResponse> promise;
-            promise.set_value(answer(request));
-            futures.push_back(promise.get_future());
+            service::TuneResponse response;
+            response.workload = request.workload;
+            response.nativeSize = request.nativeSize;
+            response.predictedTimeSec = request.nativeSize * 2.0;
+            response.warnings.push_back({"stub-rule", "stub finding"});
+            outcomes.push_back({std::move(response), nullptr});
         }
-        return futures;
-    }
-
-    std::vector<size_t>
-    batchSizes()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return sizes;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            largest = std::max(largest, batch.size());
+            if (!opened && batch.front().workload == "GATE") {
+                held.push_back({std::move(done), std::move(outcomes)});
+                heldChanged.notify_all();
+                return;
+            }
+        }
+        done(std::move(outcomes));
     }
 
     size_t
     maxBatch()
     {
         std::lock_guard<std::mutex> lock(mutex);
-        size_t best = 0;
-        for (const size_t s : sizes)
-            best = std::max(best, s);
-        return best;
+        return largest;
+    }
+
+    /** Wait until `n` batches wait on the gate (false after 5 s). */
+    bool
+    awaitHeld(size_t n)
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        return heldChanged.wait_for(lock, std::chrono::seconds(5),
+                                    [&]() { return held.size() >= n; });
+    }
+
+    /** Batches waiting on the gate now. */
+    size_t
+    heldCount()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return held.size();
+    }
+
+    /** Answer every held batch; later ones are answered at once. */
+    void
+    open()
+    {
+        std::vector<Held> release;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            opened = true;
+            release.swap(held);
+        }
+        for (Held &batch : release)
+            batch.done(std::move(batch.outcomes));
     }
 
   private:
-    static service::TuneResponse
-    answer(const service::TuneRequest &request)
+    struct Held
     {
-        service::TuneResponse response;
-        response.workload = request.workload;
-        response.nativeSize = request.nativeSize;
-        response.predictedTimeSec = request.nativeSize * 2.0;
-        response.warnings.push_back({"stub-rule", "stub finding"});
-        return response;
-    }
-
-    void
-    recordBatch(size_t n)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        sizes.push_back(n);
-    }
+        service::BatchDone done;
+        std::vector<service::TuneOutcome> outcomes;
+    };
 
     std::mutex mutex;
-    std::vector<size_t> sizes;
+    std::condition_variable heldChanged;
+    size_t largest = 0;
+    bool opened = false;
+    std::vector<Held> held;
 };
 
 service::TuneRequest
@@ -650,6 +667,113 @@ TEST(TuningServer, FlightDumpFrameReturnsParseableWindow)
 
     client.close();
     server.stop();
+}
+
+/**
+ * No head-of-line blocking: answers held up by a slow build on two
+ * connections must not delay a ready answer on a third. The gate opens
+ * by itself after kGate, so a server that parks a reply thread per
+ * batch answers the third connection only then.
+ */
+TEST(TuningServer, SlowAnswerDoesNotDelayOtherConnections)
+{
+    StubBackend backend;
+    TuningServer server(backend, ServerOptions{});
+    server.start();
+
+    Socket slowA = connectTcp("127.0.0.1", server.port());
+    Socket slowB = connectTcp("127.0.0.1", server.port());
+    const auto gated =
+        encodeFrame(MsgType::TuneRequest, 1,
+                    encodeTuneRequest(makeRequest("GATE", 1.0)));
+    ASSERT_TRUE(writeAll(slowA.fd(), gated.data(), gated.size()));
+    ASSERT_TRUE(writeAll(slowB.fd(), gated.data(), gated.size()));
+    EXPECT_TRUE(backend.awaitHeld(2));
+
+    constexpr auto kGate = std::chrono::milliseconds(1000);
+    std::thread opener([&]() {
+        std::this_thread::sleep_for(kGate);
+        backend.open();
+    });
+    Client ready("127.0.0.1", server.port());
+    const auto start = std::chrono::steady_clock::now();
+    const auto response = ready.request(makeRequest("TS", 40.0));
+    const auto waited = std::chrono::steady_clock::now() - start;
+    opener.join();
+
+    EXPECT_EQ(response.predictedTimeSec, 80.0);
+    EXPECT_LT(waited, kGate / 4)
+        << "a ready answer waited behind other connections' slow ones";
+    // The held answers still arrive once the build finishes.
+    for (Socket *slow : {&slowA, &slowB}) {
+        FrameDecoder decoder;
+        const Frame reply = readFrame(*slow, decoder);
+        EXPECT_EQ(reply.type, MsgType::TuneResponse);
+        EXPECT_EQ(reply.requestId, 1u);
+    }
+    ready.close();
+    server.stop();
+}
+
+/**
+ * stop() with a batch in flight returns only after that batch's answer
+ * is written — or, for a connection already gone, dropped — so no
+ * completion runs against a stopped server. A client that keeps
+ * pipelining meanwhile gets an Error for each late request at once:
+ * late batches never reach the backend and cannot hold stop() up.
+ */
+TEST(TuningServer, StopWaitsForTheBatchInFlight)
+{
+    StubBackend backend;
+    TuningServer server(backend, ServerOptions{});
+    server.start();
+
+    Socket kept = connectTcp("127.0.0.1", server.port());
+    Socket dropped = connectTcp("127.0.0.1", server.port());
+    Socket busy = connectTcp("127.0.0.1", server.port());
+    const auto gated = [](uint32_t id) {
+        return encodeFrame(MsgType::TuneRequest, id,
+                           encodeTuneRequest(makeRequest("GATE", 1.0)));
+    };
+    const auto first = gated(5);
+    ASSERT_TRUE(writeAll(kept.fd(), first.data(), first.size()));
+    ASSERT_TRUE(writeAll(dropped.fd(), first.data(), first.size()));
+    EXPECT_TRUE(backend.awaitHeld(2));
+    dropped.close();
+
+    std::atomic<bool> stopReturned{false};
+    std::thread stopper([&]() {
+        server.stop();
+        stopReturned.store(true);
+    });
+    // stop() now waits on the held batches, refusing new ones.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::thread pipeliner([&]() {
+        // Until stop() returns (bounded at ~10 s).
+        for (uint32_t id = 100; id < 10100 && !stopReturned.load(); ++id) {
+            const auto frame = gated(id);
+            if (!writeAll(busy.fd(), frame.data(), frame.size()))
+                return;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    FrameDecoder busyDecoder;
+    const Frame late = readFrame(busy, busyDecoder);
+    EXPECT_EQ(late.type, MsgType::Error);
+    EXPECT_EQ(late.requestId, 100u);
+    EXPECT_EQ(late.payload, encodeError("server stopping"));
+    EXPECT_EQ(backend.heldCount(), 2u)
+        << "a request that arrived during stop() reached the backend";
+    EXPECT_FALSE(stopReturned.load())
+        << "stop() returned with a batch still in flight";
+
+    backend.open();
+    stopper.join();
+    pipeliner.join();
+    FrameDecoder decoder;
+    const Frame reply = readFrame(kept, decoder);
+    EXPECT_EQ(reply.type, MsgType::TuneResponse);
+    EXPECT_EQ(reply.requestId, 5u);
 }
 
 } // namespace

@@ -113,6 +113,36 @@ TEST(TuningService, ConcurrentIdenticalRequestsCoalesce)
     EXPECT_EQ(service.cacheStats().misses, 1u);
 }
 
+TEST(TuningService, BatchItemJoinsInFlightSubmit)
+{
+    sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());
+    TuningService service(sim, fastOptions());
+
+    // The submit starts a cold build; the batch lands while it runs (a
+    // build takes far longer than one submit), so the batch's copy of
+    // the same question waits on that computation instead of searching
+    // again.
+    auto single = service.submit(request("TS", 40));
+    std::promise<std::vector<TuneOutcome>> answered;
+    service.submitBatch({request("TS", 40), request("TS", 40, 18)},
+                        [&](std::vector<TuneOutcome> outcomes) {
+                            answered.set_value(std::move(outcomes));
+                        });
+    const TuneResponse first = single.get();
+    const auto outcomes = answered.get_future().get();
+
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_FALSE(first.coalesced);
+    EXPECT_TRUE(outcomes[0].response.coalesced);
+    EXPECT_EQ(outcomes[0].response.best.values(), first.best.values());
+    // The joined copy is timed from its own, later, submit.
+    EXPECT_LT(outcomes[0].response.latencySec, first.latencySec);
+    EXPECT_FALSE(outcomes[1].response.coalesced);
+    // One search per distinct question.
+    EXPECT_EQ(service.metrics().histogram("phase.search").count(), 2u);
+    EXPECT_EQ(service.metrics().counterValue("requests.coalesced"), 1u);
+}
+
 TEST(TuningService, ResponsesAreDeterministicAcrossThreadCounts)
 {
     sparksim::SparkSimulator sim(cluster::ClusterSpec::paperTestbed());

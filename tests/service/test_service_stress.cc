@@ -94,10 +94,15 @@ TEST(TuningServiceStress, DegradedCountsEveryAnswerNotEveryComputation)
 
     // The duplicate is answered from the first item's computation, but
     // it is still a degraded answer its caller receives.
-    auto futures = service.submitBatch({request("TS", 40), request("TS", 40)});
-    ASSERT_EQ(futures.size(), 2u);
-    for (auto &future : futures)
-        EXPECT_EQ(future.get().degradedReason, "model-failure");
+    std::promise<std::vector<TuneOutcome>> answered;
+    service.submitBatch({request("TS", 40), request("TS", 40)},
+                        [&](std::vector<TuneOutcome> outcomes) {
+                            answered.set_value(std::move(outcomes));
+                        });
+    const auto outcomes = answered.get_future().get();
+    ASSERT_EQ(outcomes.size(), 2u);
+    for (const auto &outcome : outcomes)
+        EXPECT_EQ(outcome.response.degradedReason, "model-failure");
     EXPECT_EQ(service.metrics().counterValue("requests.degraded"), 2u);
     EXPECT_EQ(service.metrics().counterValue("requests.served"), 2u);
 }

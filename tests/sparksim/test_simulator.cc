@@ -224,36 +224,6 @@ TEST(Simulator, ExecutorLayoutReported)
     EXPECT_EQ(r.totalSlots, 60);
 }
 
-TEST(Simulator, RunBatchMatchesRunLoopExactly)
-{
-    // runBatch chunks the sweep and reuses one Scratch per chunk; the
-    // result vector must be byte-identical to single run() calls —
-    // including across a chunk boundary (kRunChunk is 8, so 20 runs
-    // exercise full chunks plus a remainder).
-    SparkSimulator sim(testbed());
-    const auto dag = dagFor("WC", 1);
-    std::vector<conf::Configuration> configs;
-    std::vector<uint64_t> seeds;
-    for (int i = 0; i < 20; ++i) {
-        configs.push_back(config([&](auto &c) {
-            c.set(conf::ExecutorCores, 1 + i % 4);
-            c.set(conf::ExecutorMemory, 4096 + 1500 * (i % 6));
-            c.set(conf::DefaultParallelism, 16 + 8 * (i % 5));
-        }));
-        seeds.push_back(static_cast<uint64_t>(1000 + i));
-    }
-
-    const auto batch = sim.runBatch(dag, configs, seeds);
-    ASSERT_EQ(batch.size(), configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-        const auto single = sim.run(dag, configs[i], seeds[i]);
-        EXPECT_EQ(single.timeSec, batch[i].timeSec) << "run " << i;
-        EXPECT_EQ(single.taskFailures, batch[i].taskFailures)
-            << "run " << i;
-        EXPECT_EQ(single.totalSlots, batch[i].totalSlots) << "run " << i;
-    }
-}
-
 TEST(Simulator, ScratchReuseAcrossJobsIsByteIdentical)
 {
     // One Scratch carried across different DAGs and configurations —
@@ -266,6 +236,23 @@ TEST(Simulator, ScratchReuseAcrossJobsIsByteIdentical)
         EXPECT_EQ(sim.run(dag, c, 42).timeSec,
                   sim.run(dag, c, 42, scratch).timeSec)
             << abbrev;
+    }
+    // Configurations that grow and shrink the executor layout, so the
+    // scratch's buffers are reused below and above their high-water
+    // mark.
+    const auto dag = dagFor("WC", 1);
+    for (int i = 0; i < 20; ++i) {
+        const auto c = config([&](auto &cfg) {
+            cfg.set(conf::ExecutorCores, 1 + i % 4);
+            cfg.set(conf::ExecutorMemory, 4096 + 1500 * (i % 6));
+            cfg.set(conf::DefaultParallelism, 16 + 8 * (i % 5));
+        });
+        const uint64_t seed = static_cast<uint64_t>(1000 + i);
+        const auto single = sim.run(dag, c, seed);
+        const auto reused = sim.run(dag, c, seed, scratch);
+        EXPECT_EQ(single.timeSec, reused.timeSec) << "run " << i;
+        EXPECT_EQ(single.taskFailures, reused.taskFailures) << "run " << i;
+        EXPECT_EQ(single.totalSlots, reused.totalSlots) << "run " << i;
     }
 }
 
