@@ -23,7 +23,7 @@ Collector::collect(const CollectOptions &options) const
     DAC_ASSERT(sizesWellSeparated(sizes),
                "training sizes violate the 10% separation rule");
     return collectAtSizes(sizes, options.runsPerDataset, options.seed,
-                          options.sampling, options.executor);
+                          options.sampling);
 }
 
 CollectResult

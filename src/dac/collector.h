@@ -33,13 +33,6 @@ struct CollectOptions
     /** Configuration sampling scheme. */
     Sampling sampling = Sampling::Random;
     uint64_t seed = 11;
-    /**
-     * Optional executor to spread simulator runs over (borrowed, not
-     * owned; nullptr = serial). Configurations and run seeds are
-     * planned serially first, so the collected training set is
-     * bit-identical to the serial path for any thread count.
-     */
-    Executor *executor = nullptr;
 };
 
 /** Output of a collection campaign. */
@@ -60,12 +53,16 @@ class Collector
     Collector(const sparksim::SparkSimulator &sim,
               const workloads::Workload &workload);
 
-    /** Run the full campaign for one program. */
+    /** Run the full campaign for one program, serially. */
     CollectResult collect(const CollectOptions &options) const;
 
     /**
-     * Collect at explicit native sizes (used by ablations and by the
-     * model-accuracy figures, which also need held-out test sets).
+     * Collect at explicit native sizes (used by ablations, by the
+     * model-accuracy figures, which also need held-out test sets, and
+     * by core::train). Runs spread over `executor` (borrowed; nullptr
+     * = serial); configurations and run seeds are planned serially
+     * first, so the collected set is bit-identical for any thread
+     * count.
      */
     CollectResult collectAtSizes(const std::vector<double> &native_sizes,
                                  size_t runs_per_size, uint64_t seed,

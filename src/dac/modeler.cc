@@ -109,8 +109,9 @@ buildAndValidate(ModelKind kind, const std::vector<PerfVector> &vectors,
     static obs::Counter &trained =
         obs::globalMetrics().counter("model.trained");
     trained.increment();
-    obs::globalMetrics().histogram("model.train_sec")
-        .observe(report.trainWallSec);
+    static obs::Histogram &trainSec =
+        obs::globalMetrics().histogram("model.train_sec");
+    trainSec.observe(report.trainWallSec);
     return report;
 }
 

@@ -31,52 +31,40 @@ Searcher::search(double dsize_bytes, const ga::GaParams &params,
         seed_genomes.push_back(c.toNormalized());
     }
 
-    // Score through a compiled FlatEnsemble when one is available:
-    // the caller's (setCompiled) or a fresh per-search compilation —
-    // compiling costs one pass over the trained trees, repaid within
-    // the first generation. Fitness values, and hence the GaResult,
-    // are exactly those of the interpreted fallback.
+    // Score through the caller's compiled form (setCompiled) or a fresh
+    // per-search compilation, repaid within the first generation; a
+    // model with no compiled form scores each row through predict().
+    // Same fitness values, hence the same GaResult, either way.
     const std::unique_ptr<ml::FlatEnsemble> owned =
         compiled == nullptr ? model->compile() : nullptr;
     const ml::FlatEnsemble *flat =
         compiled != nullptr ? compiled : owned.get();
 
-    ga::GeneticAlgorithm algorithm(params);
-    SearchResult out{conf::Configuration(*space), 0.0, {}, 0.0};
-    if (flat != nullptr) {
-        const size_t width = space->size() + (includeDsize ? 1 : 0);
-        std::vector<double> rows; // generation feature matrix, reused
-        auto batch = [&](const double *const *genomes, size_t count,
-                         double *fitness) {
-            rows.resize(count * width);
-            // Decode each genome straight into its feature row: the
-            // denormalized values ARE the feature columns (dsize
-            // appended last), so the per-genome Configuration and
-            // toFeatures() allocations vanish from the generation
-            // loop. Same values, same fitness bits.
-            parallelFor(params.executor, count, [&](size_t i) {
-                double *row = rows.data() + i * width;
-                space->denormalizeInto(genomes[i], row);
-                if (includeDsize)
-                    row[width - 1] = dsize_bytes;
-            });
+    const size_t width = space->size() + (includeDsize ? 1 : 0);
+    std::vector<double> rows; // generation feature matrix, reused
+    auto batch = [&](const double *const *genomes, size_t count,
+                     double *fitness) {
+        rows.resize(count * width);
+        // The denormalized genome IS the feature row (dsize appended
+        // last): no per-genome Configuration or feature vector.
+        parallelFor(params.executor, count, [&](size_t i) {
+            double *row = rows.data() + i * width;
+            space->denormalizeInto(genomes[i], row);
+            if (includeDsize)
+                row[width - 1] = dsize_bytes;
+            if (flat == nullptr)
+                fitness[i] = model->predict(row, width);
+        });
+        if (flat != nullptr) {
             flat->predictBatch(rows.data(), width, count, fitness,
                                params.executor);
-        };
-        out.ga = algorithm.minimize(ga::GeneticAlgorithm::BatchObjective(
-                                        batch),
-                                    space->size(), seed_genomes);
-    } else {
-        auto objective = [&](const std::vector<double> &genome) {
-            const auto config =
-                conf::Configuration::fromNormalized(*space, genome);
-            const auto features = toFeatures(config, dsize_bytes,
-                                             includeDsize);
-            return model->predict(features);
-        };
-        out.ga = algorithm.minimize(objective, space->size(),
-                                    seed_genomes);
-    }
+        }
+    };
+
+    ga::GeneticAlgorithm algorithm(params);
+    SearchResult out{conf::Configuration(*space), 0.0, {}, 0.0};
+    out.ga = algorithm.minimize(ga::GeneticAlgorithm::BatchObjective(batch),
+                                space->size(), seed_genomes);
     out.best = conf::Configuration::fromNormalized(*space, out.ga.best);
     out.predictedTimeSec = out.ga.bestFitness;
 
@@ -90,7 +78,9 @@ Searcher::search(double dsize_bytes, const ga::GaParams &params,
     static obs::Counter &searches =
         obs::globalMetrics().counter("search.runs");
     searches.increment();
-    obs::globalMetrics().histogram("search.sec").observe(out.wallSec);
+    static obs::Histogram &searchSec =
+        obs::globalMetrics().histogram("search.sec");
+    searchSec.observe(out.wallSec);
     return out;
 }
 

@@ -45,19 +45,19 @@ class Searcher
      * Score the GA through this precompiled form of `model` instead
      * of compiling one per search() call. Must be compiled from the
      * same trained model; the caller keeps ownership and must keep it
-     * alive for the searcher's lifetime. Long-lived holders of
-     * trained models (the service's model cache) compile once and
-     * pass the ensemble to every search against that model.
+     * alive for the searcher's lifetime. core::search() passes the
+     * ensemble a TrainedModel compiled once at train time.
      */
     void setCompiled(const ml::FlatEnsemble *flat) { compiled = flat; }
 
     /**
      * Find the configuration minimizing predicted time at `dsize`.
      *
-     * The GA scores whole generations through a compiled FlatEnsemble
-     * (setCompiled(), or a per-call Model::compile() for compilable
-     * models), falling back to per-genome Model::predict otherwise.
-     * All three paths return the identical SearchResult.
+     * The GA scores whole generations: each genome is decoded into a
+     * feature row, and the rows are scored through a compiled
+     * FlatEnsemble (setCompiled(), or a per-call Model::compile() for
+     * compilable models) or else through Model::predict row by row.
+     * All three return the identical SearchResult.
      *
      * @param dsize_bytes Target dataset size (ignored when the model
      *                    is datasize-unaware).

@@ -1,8 +1,5 @@
 #include "dac/tuner.h"
 
-#include <chrono>
-
-#include "obs/tracer.h"
 #include "support/logging.h"
 
 namespace dac::core {
@@ -24,21 +21,6 @@ ExpertTuner::configFor(const workloads::Workload &, double)
     return config;
 }
 
-AutoTuneOptions::AutoTuneOptions()
-{
-    // Reduced-scale defaults for the 1-core container; the benches
-    // raise these toward paper scale (m=10, k=200, nt=3600) via
-    // --full. See EXPERIMENTS.md.
-    collect.datasetCount = 10;
-    collect.runsPerDataset = 80;
-    hm.firstOrder.maxTrees = 400;
-    hm.firstOrder.learningRate = 0.05;
-    hm.firstOrder.treeComplexity = 5;
-    ga.populationSize = 50;
-    ga.maxGenerations = 100;
-    ga.mutationRate = 0.01;
-}
-
 ModelBasedTuner::ModelBasedTuner(const sparksim::SparkSimulator &sim,
                                  AutoTuneOptions options, ModelKind kind,
                                  bool datasize_aware)
@@ -47,81 +29,39 @@ ModelBasedTuner::ModelBasedTuner(const sparksim::SparkSimulator &sim,
 {
 }
 
-ModelBasedTuner::WorkloadState &
+TrainedModel &
 ModelBasedTuner::ensureTrained(const workloads::Workload &workload)
 {
-    auto it = states.find(workload.abbrev());
-    if (it != states.end())
-        return it->second;
-
-    WorkloadState state;
-
-    // Collecting (the dominant cost in Table 3).
-    {
-        obs::ScopedSpan phase("phase.collect");
-        if (phase.active())
-            phase.attr("workload", workload.abbrev());
-        Collector collector(*sim, workload);
-        CollectOptions copt = options.collect;
-        copt.executor = options.executor;
-        copt.seed = combineSeed(options.seed, workload.abbrev().size() +
-                                workload.abbrev().front());
-        const auto collected = collector.collect(copt);
-        state.vectors = collected.vectors;
-        state.overheadReport.collectingHours =
-            collected.simulatedClusterSec / 3600.0;
-        state.overheadReport.trainingRuns = collected.vectors.size();
+    const std::string &abbrev = workload.abbrev();
+    auto it = trained.find(abbrev);
+    if (it == trained.end()) {
+        auto record = train(
+            *sim, workload,
+            workload.trainingSizes(options.collect.datasetCount), options,
+            combineSeed(options.seed, abbrev.size() + abbrev.front()),
+            options.seed, kind, datasizeAware, nullptr);
+        it = trained.emplace(abbrev, std::move(*record)).first;
     }
+    return it->second;
+}
 
-    // Modeling.
-    {
-        obs::ScopedSpan phase("phase.model");
-        if (phase.active())
-            phase.attr("kind", modelKindName(kind));
-        auto report = buildAndValidate(kind, state.vectors, options.hm,
-                                       datasizeAware, options.seed);
-        state.model = std::move(report.model);
-        state.overheadReport.modelingSec = report.trainWallSec;
-        state.modelErrorPct = report.testErrorPct;
-        if (phase.active())
-            phase.attr("test_error_pct", state.modelErrorPct);
-    }
-
-    auto [pos, inserted] = states.emplace(workload.abbrev(),
-                                          std::move(state));
-    DAC_ASSERT(inserted, "workload state inserted twice");
-    return pos->second;
+const TrainedModel &
+ModelBasedTuner::trainedFor(const std::string &abbrev) const
+{
+    auto it = trained.find(abbrev);
+    if (it == trained.end())
+        fatalError("workload has not been tuned: " + abbrev);
+    return it->second;
 }
 
 conf::Configuration
 ModelBasedTuner::configFor(const workloads::Workload &workload,
                            double native_size)
 {
-    WorkloadState &state = ensureTrained(workload);
-
-    // Seed the GA population with configurations from S (Figure 6).
-    const auto &space = conf::ConfigSpace::spark();
-    std::vector<conf::Configuration> seeds;
-    Rng rng(combineSeed(options.seed, static_cast<uint64_t>(native_size)));
-    const size_t want = std::min<size_t>(options.ga.populationSize / 2,
-                                         state.vectors.size());
-    for (size_t i = 0; i < want; ++i) {
-        const auto &pv = state.vectors[rng.index(state.vectors.size())];
-        seeds.emplace_back(space, pv.config);
-    }
-
-    obs::ScopedSpan phase("phase.search");
-    if (phase.active())
-        phase.attr("size", native_size);
-    Searcher searcher(*state.model, space, datasizeAware);
-    ga::GaParams params = options.ga;
-    params.executor = options.executor;
-    params.seed = combineSeed(options.seed,
-                              static_cast<uint64_t>(native_size * 1000));
-    const double dsize = workload.bytesForSize(native_size);
-    auto result = searcher.search(dsize, params, seeds);
-
-    state.overheadReport.searchingSec += result.wallSec;
+    TrainedModel &record = ensureTrained(workload);
+    auto result = search(record, workload, native_size, options.ga,
+                         datasizeAware, options.seed, nullptr);
+    record.overhead.searchingSec += result.wallSec;
     lastGa = std::move(result.ga);
     return result.best;
 }
@@ -129,19 +69,13 @@ ModelBasedTuner::configFor(const workloads::Workload &workload,
 const TunerOverhead &
 ModelBasedTuner::overhead(const std::string &abbrev) const
 {
-    auto it = states.find(abbrev);
-    if (it == states.end())
-        fatalError("workload has not been tuned: " + abbrev);
-    return it->second.overheadReport;
+    return trainedFor(abbrev).overhead;
 }
 
 double
 ModelBasedTuner::modelError(const std::string &abbrev) const
 {
-    auto it = states.find(abbrev);
-    if (it == states.end())
-        fatalError("workload has not been tuned: " + abbrev);
-    return it->second.modelErrorPct;
+    return trainedFor(abbrev).modelErrorPct;
 }
 
 DacTuner::DacTuner(const sparksim::SparkSimulator &sim,

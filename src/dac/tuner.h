@@ -10,29 +10,11 @@
 #define DAC_DAC_TUNER_H
 
 #include <map>
-#include <memory>
 
 #include "conf/expert.h"
-#include "dac/collector.h"
-#include "dac/modeler.h"
-#include "dac/searcher.h"
-#include "ga/ga.h"
+#include "dac/pipeline.h"
 
 namespace dac::core {
-
-/** Per-workload tuning cost broken down as in Table 3. */
-struct TunerOverhead
-{
-    /** Simulated cluster time spent collecting training data, hours
-     *  (the paper's "Collecting (h)" column). */
-    double collectingHours = 0.0;
-    /** Wall seconds training the model ("Modeling (s)"). */
-    double modelingSec = 0.0;
-    /** Wall seconds searching; the paper reports minutes. */
-    double searchingSec = 0.0;
-    /** Training runs executed (ntrain = m * k). */
-    size_t trainingRuns = 0;
-};
 
 /**
  * Something that can produce a configuration for a program-input pair.
@@ -72,26 +54,11 @@ class ExpertTuner : public Tuner
     conf::Configuration config;
 };
 
-/** Options shared by the model-based tuners. */
-struct AutoTuneOptions
-{
-    CollectOptions collect;
-    ml::HmParams hm;
-    ga::GaParams ga;
-    uint64_t seed = 17;
-    /**
-     * Optional executor (borrowed; nullptr = serial) used for the
-     * collection runs and the GA's fitness evaluations. Tuning results
-     * are bit-identical with and without it.
-     */
-    Executor *executor = nullptr;
-
-    AutoTuneOptions();
-};
-
 /**
- * Common machinery for DAC and RFHOC: collect once per workload,
- * train a model, then GA-search per requested dataset size.
+ * Common machinery for DAC and RFHOC: train() once per workload at
+ * its Table 1 training sizes, keep the TrainedModel, then search()
+ * per requested dataset size (pipeline.h). Runs serially; not
+ * thread-safe.
  */
 class ModelBasedTuner : public Tuner
 {
@@ -113,21 +80,16 @@ class ModelBasedTuner : public Tuner
     double modelError(const std::string &abbrev) const;
 
   private:
-    struct WorkloadState
-    {
-        std::unique_ptr<ml::Model> model;
-        std::vector<PerfVector> vectors;
-        TunerOverhead overheadReport;
-        double modelErrorPct = 0.0;
-    };
-
-    WorkloadState &ensureTrained(const workloads::Workload &workload);
+    /** The workload's record, trained on first use. */
+    TrainedModel &ensureTrained(const workloads::Workload &workload);
+    /** The record of a tuned workload; fatal if it was never tuned. */
+    const TrainedModel &trainedFor(const std::string &abbrev) const;
 
     const sparksim::SparkSimulator *sim;
     AutoTuneOptions options;
     ModelKind kind;
     bool datasizeAware;
-    std::map<std::string, WorkloadState> states;
+    std::map<std::string, TrainedModel> trained;
     ga::GaResult lastGa;
 };
 

@@ -115,17 +115,36 @@ FlightRecorder::setEnabled(bool on)
 FlightRecorder::ThreadRing &
 FlightRecorder::threadRing()
 {
-    // One cached pointer per (thread, process); rings are never freed,
-    // so the cache cannot dangle.
-    thread_local ThreadRing *ring = nullptr;
-    if (ring == nullptr) {
-        auto fresh = std::make_unique<ThreadRing>();
+    // Each live thread leases one ring; at thread exit the lease puts
+    // it on the free list for the next thread. Rings are never freed,
+    // so no pointer to one can dangle.
+    struct Lease
+    {
+        ThreadRing *ring = nullptr;
+        Lease() = default;
+        Lease(const Lease &) = delete;
+        Lease &operator=(const Lease &) = delete;
+        ~Lease()
+        {
+            if (ring == nullptr)
+                return;
+            FlightRecorder &recorder = instance();
+            std::lock_guard<std::mutex> lock(recorder.registryMutex);
+            recorder.freeRings.push_back(ring);
+        }
+    };
+    thread_local Lease lease;
+    if (lease.ring == nullptr) {
         std::lock_guard<std::mutex> lock(registryMutex);
-        fresh->lane = static_cast<uint32_t>(rings.size());
-        rings.push_back(std::move(fresh));
-        ring = rings.back().get();
+        if (freeRings.empty()) {
+            rings.push_back(std::make_unique<ThreadRing>());
+            rings.back()->lane = static_cast<uint32_t>(rings.size() - 1);
+            freeRings.push_back(rings.back().get());
+        }
+        lease.ring = freeRings.back();
+        freeRings.pop_back();
     }
-    return *ring;
+    return *lease.ring;
 }
 
 void

@@ -85,7 +85,9 @@ struct FlightRecord
     FlightReason reason = FlightReason::None;
     /** ModelCache shard involved (0 when not a cache event). */
     uint16_t shard = 0;
-    /** Recording thread's lane index. */
+    /** Index of the ring written to. A ring is one live thread's at a
+     *  time; an exited thread's ring, records and lane intact, passes
+     *  to the next thread that claims one. */
     uint32_t lane = 0;
     /** Phase-specific payload, usually a duration in seconds. */
     double valueSec = 0.0;
@@ -205,13 +207,16 @@ class FlightRecorder
 
     FlightRecorder() = default;
 
-    /** This thread's ring, registering it on first use. */
+    /** This thread's ring, taken from the free list or registered on
+     *  first use. */
     ThreadRing &threadRing();
 
     inline static std::atomic<bool> enabledFlag{true};
 
-    mutable std::mutex registryMutex; ///< guards rings list
+    mutable std::mutex registryMutex; ///< guards rings + freeRings
     std::vector<std::unique_ptr<ThreadRing>> rings;
+    /** Rings of exited threads, reused before a new one is allocated. */
+    std::vector<ThreadRing *> freeRings;
     std::atomic<uint64_t> records{0};
 
     mutable std::mutex dumpMutex; ///< guards dump dir + last-dump time

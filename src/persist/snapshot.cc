@@ -28,17 +28,18 @@ writeHeader(std::vector<uint8_t> &out, const std::vector<uint8_t> &payload)
 std::vector<uint8_t>
 encodePayload(const SnapshotView &view)
 {
+    const core::TrainedModel &trained = *view.trained;
     ByteWriter w;
     w.str(*view.workload);
     w.str(*view.cluster);
     w.i32(view.sizeBand);
-    w.f64(view.modelErrorPct);
-    w.f64(view.overhead->collectingHours);
-    w.f64(view.overhead->modelingSec);
-    w.f64(view.overhead->searchingSec);
-    w.u64(static_cast<uint64_t>(view.overhead->trainingRuns));
+    w.f64(trained.modelErrorPct);
+    w.f64(trained.overhead.collectingHours);
+    w.f64(trained.overhead.modelingSec);
+    w.f64(trained.overhead.searchingSec);
+    w.u64(static_cast<uint64_t>(trained.overhead.trainingRuns));
 
-    const auto &vectors = *view.vectors;
+    const auto &vectors = trained.vectors;
     const uint32_t configLen =
         vectors.empty() ? 0
                         : static_cast<uint32_t>(vectors[0].config.size());
@@ -55,10 +56,10 @@ encodePayload(const SnapshotView &view)
         w.f64(v.dsizeBytes);
     }
 
-    ModelIo::writeModel(w, *view.model);
-    w.u8(view.compiled != nullptr ? 1 : 0);
-    if (view.compiled != nullptr)
-        ModelIo::writeFlat(w, *view.compiled);
+    ModelIo::writeModel(w, *trained.model);
+    w.u8(trained.compiled != nullptr ? 1 : 0);
+    if (trained.compiled != nullptr)
+        ModelIo::writeFlat(w, *trained.compiled);
     return w.take();
 }
 
@@ -243,16 +244,8 @@ loadSnapshotFile(const std::string &path)
 SnapshotView
 viewOf(const ModelSnapshot &snapshot)
 {
-    SnapshotView view;
-    view.workload = &snapshot.workload;
-    view.cluster = &snapshot.cluster;
-    view.sizeBand = snapshot.sizeBand;
-    view.modelErrorPct = snapshot.modelErrorPct;
-    view.overhead = &snapshot.overhead;
-    view.vectors = &snapshot.vectors;
-    view.model = snapshot.model.get();
-    view.compiled = snapshot.compiled.get();
-    return view;
+    return {&snapshot.workload, &snapshot.cluster, snapshot.sizeBand,
+            &snapshot};
 }
 
 } // namespace dac::persist

@@ -3,10 +3,10 @@
  * Versioned, checksummed model snapshots — the on-disk format behind
  * warm restarts (ROADMAP: "Model persistence and warm restarts").
  *
- * A snapshot file is one cache entry: the tuning key, the trained
- * model (HM/GBRT trees with every training artifact), the compiled
- * FlatEnsemble, the training vectors, and the bookkeeping the serving
- * layer reports (model error, tuner overhead). Layout:
+ * A snapshot file is one cache entry: the tuning key and the entry's
+ * core::TrainedModel — the trained model (HM/GBRT trees with every
+ * training artifact), the compiled FlatEnsemble, the training
+ * vectors, the model error and the tuner overhead. Layout:
  *
  *       offset  size  field
  *            0     4  magic "DACS" (0x53434144 LE)
@@ -48,14 +48,8 @@
 #include <string>
 #include <vector>
 
-#include "dac/perfvector.h"
-#include "dac/tuner.h"
-#include "ml/model.h"
+#include "dac/pipeline.h"
 #include "persist/bytes.h"
-
-namespace dac::ml {
-class FlatEnsemble;
-}
 
 namespace dac::persist {
 
@@ -93,34 +87,26 @@ struct SnapshotHeader
 SnapshotError readSnapshotHeader(const uint8_t *data, size_t len,
                                  SnapshotHeader *out);
 
-/** One persisted model-cache entry, owning storage. */
-struct ModelSnapshot
+/** One persisted model-cache entry, owning storage: the key fields
+ *  plus the entry's record (`compiled` null if the file has none). */
+struct ModelSnapshot : core::TrainedModel
 {
     std::string workload;
     std::string cluster;
     int sizeBand = 0;
-    double modelErrorPct = 0.0;
-    core::TunerOverhead overhead;
-    std::vector<core::PerfVector> vectors;
-    std::shared_ptr<const ml::Model> model;
-    std::shared_ptr<const ml::FlatEnsemble> compiled;
 };
 
 /**
- * Borrowed view of the same fields, so a cache shard can encode an
- * entry it holds by shared_ptr without copying model or vectors.
- * `compiled` may be null (the loader recompiles); `model` must not be.
+ * Borrowed view of the same, so a cache shard can encode an entry it
+ * holds by shared_ptr without copying it. The record's `compiled` may
+ * be null (the loader recompiles); its `model` must not be.
  */
 struct SnapshotView
 {
     const std::string *workload = nullptr;
     const std::string *cluster = nullptr;
     int sizeBand = 0;
-    double modelErrorPct = 0.0;
-    const core::TunerOverhead *overhead = nullptr;
-    const std::vector<core::PerfVector> *vectors = nullptr;
-    const ml::Model *model = nullptr;
-    const ml::FlatEnsemble *compiled = nullptr;
+    const core::TrainedModel *trained = nullptr;
 };
 
 /** Outcome of decodeSnapshot/loadSnapshotFile. */

@@ -249,19 +249,10 @@ ModelCache::writeSnapshot(const std::string &dir, const ModelKey &key,
         return false;
     }
 
-    persist::SnapshotView view;
-    view.workload = &key.workload;
-    view.cluster = &key.cluster;
-    view.sizeBand = key.sizeBand;
-    view.modelErrorPct = model.modelErrorPct;
-    view.overhead = &model.overhead;
-    view.vectors = &model.vectors;
-    view.model = model.model.get();
-    view.compiled = model.compiled.get();
-
     const std::string path =
         (std::filesystem::path(dir) / snapshotFileName(key)).string();
-    return persist::saveSnapshotFile(path, view, error);
+    return persist::saveSnapshotFile(
+        path, {&key.workload, &key.cluster, key.sizeBand, &model}, error);
 }
 
 ModelCache::SnapshotIo
@@ -319,17 +310,12 @@ ModelCache::restoreFrom(const std::string &dir)
         }
 
         persist::ModelSnapshot &snap = result.snapshot;
-        ModelKey key{snap.workload, snap.cluster, snap.sizeBand};
-        auto entry = std::make_shared<CachedModel>();
-        entry->model = snap.model;
-        entry->compiled = snap.compiled != nullptr
-                              ? snap.compiled
-                              : std::shared_ptr<const ml::FlatEnsemble>(
-                                    snap.model->compile());
-        entry->vectors = std::move(snap.vectors);
-        entry->modelErrorPct = snap.modelErrorPct;
-        entry->overhead = snap.overhead;
-        insert(key, std::move(entry));
+        if (snap.compiled == nullptr)
+            snap.compiled = snap.model->compile();
+        ModelKey key{std::move(snap.workload), std::move(snap.cluster),
+                     snap.sizeBand};
+        insert(key, std::make_shared<const CachedModel>(
+                        std::move(static_cast<CachedModel &>(snap))));
         ++io.loaded;
     }
     return io;

@@ -39,10 +39,7 @@
 #include <tuple>
 #include <vector>
 
-#include "dac/perfvector.h"
-#include "dac/tuner.h"
-#include "ml/flat_ensemble.h"
-#include "ml/model.h"
+#include "dac/pipeline.h"
 
 namespace dac::service {
 
@@ -81,26 +78,8 @@ struct ModelKey
 /** The band a native dataset size falls in. */
 [[nodiscard]] int sizeBandOf(double native_size);
 
-/**
- * A trained model plus everything a search against it needs.
- */
-struct CachedModel
-{
-    /** The trained performance model (HM for DAC requests). */
-    std::shared_ptr<const ml::Model> model;
-    /**
-     * The model compiled for fast inference (flat_ensemble.h), built
-     * once when the entry is; every search against this entry scores
-     * the GA through it. Nullptr for non-compilable models.
-     */
-    std::shared_ptr<const ml::FlatEnsemble> compiled;
-    /** Training set; the GA seeds its population from it (Fig. 6). */
-    std::vector<core::PerfVector> vectors;
-    /** Cross-validated model error, percent (Eq. 2). */
-    double modelErrorPct = 0.0;
-    /** Collection/modeling cost paid to build this entry (Table 3). */
-    core::TunerOverhead overhead;
-};
+/** A cache entry: the pipeline's trained-model record (pipeline.h). */
+using CachedModel = core::TrainedModel;
 
 /**
  * Thread-safe sharded LRU cache of CachedModels with per-shard build

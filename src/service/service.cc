@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "conf/constraints.h"
 #include "conf/expert.h"
-#include "dac/modeler.h"
-#include "dac/searcher.h"
 #include "obs/flight_recorder.h"
 #include "obs/tracer.h"
 #include "support/logging.h"
@@ -28,6 +27,9 @@ struct TransientModelError : std::runtime_error
     {
     }
 };
+
+/** Backoff growth per model-build retry (exponential). */
+constexpr double kRetryBackoffMultiplier = 2.0;
 
 /** The request's deadline fired inside the build path. */
 struct DeadlineExpired : std::runtime_error
@@ -394,8 +396,7 @@ TuningService::process(const TuneRequest &request,
         cached = cache.getOrBuild(key, [&]() {
             builtHere = true;
             const auto buildStart = std::chrono::steady_clock::now();
-            auto entry = buildModelWithRetry(workload, key, cancel,
-                                             build_retries);
+            auto entry = buildModel(workload, key, cancel, build_retries);
             buildSec = elapsedSec(buildStart);
             return entry;
         });
@@ -421,20 +422,6 @@ TuningService::process(const TuneRequest &request,
         obs::instant(builtHere ? "cache.miss" : "cache.hit",
                      {{"key", key.toString()}});
     }
-    if (builtHere && !options.snapshotDir.empty()) {
-        // Persist the freshly built model so a restarted process warms
-        // up from disk instead of re-collecting. Milliseconds of disk
-        // on a build that took whole simulated hours; best-effort.
-        std::string persistError;
-        if (ModelCache::writeSnapshot(options.snapshotDir, key, *cached,
-                                      &persistError)) {
-            registry.counter("snapshot.saved").increment();
-        } else {
-            registry.counter("snapshot.save_failed").increment();
-            warn("snapshot of " + key.toString() + " failed: " +
-                 persistError);
-        }
-    }
 
     // Deadline gone before the search starts: answer with the expert
     // configuration instead of starting work we cannot finish. (The
@@ -442,33 +429,11 @@ TuningService::process(const TuneRequest &request,
     if (cancel.cancelled())
         return fallBack(obs::FlightReason::Deadline);
 
-    // Search: GA against the cached model with the requested size
-    // pinned, population seeded from the training set (Figure 6) —
-    // the same protocol as ModelBasedTuner::configFor.
-    obs::ScopedSpan searchPhase("phase.search");
     const auto searchStart = std::chrono::steady_clock::now();
-    const auto &space = conf::ConfigSpace::spark();
-    Rng rng(combineSeed(request.seed,
-                        static_cast<uint64_t>(request.nativeSize)));
-    std::vector<conf::Configuration> seeds;
-    const size_t want =
-        std::min<size_t>(options.tuning.ga.populationSize / 2,
-                         cached->vectors.size());
-    for (size_t i = 0; i < want; ++i) {
-        const auto &pv = cached->vectors[rng.index(cached->vectors.size())];
-        seeds.emplace_back(space, pv.config);
-    }
-
-    core::Searcher searcher(*cached->model, space, true);
-    searcher.setCompiled(cached->compiled.get());
-    ga::GaParams params = options.tuning.ga;
-    params.seed = combineSeed(request.seed,
-                              static_cast<uint64_t>(request.nativeSize *
-                                                    1000));
-    params.executor = options.parallelWithinRequest ? &pool : nullptr;
-    params.cancel = &cancel;
-    const double dsize = workload.bytesForSize(request.nativeSize);
-    auto found = searcher.search(dsize, params, seeds);
+    auto found = core::search(
+        *cached, workload, request.nativeSize, options.tuning.ga, true,
+        request.seed, options.parallelWithinRequest ? &pool : nullptr,
+        &cancel);
     phaseRecorder.record(phases, Phase::Search, elapsedSec(searchStart),
                          request.wireId, shard);
 
@@ -493,18 +458,29 @@ TuningService::process(const TuneRequest &request,
 }
 
 std::shared_ptr<const CachedModel>
-TuningService::buildModelWithRetry(const workloads::Workload &workload,
-                                   const ModelKey &key,
-                                   const CancelToken &cancel,
-                                   int &retries_out)
+TuningService::buildModel(const workloads::Workload &workload,
+                          const ModelKey &key, const CancelToken &cancel,
+                          int &retries_out)
 {
+    // One stream per cache key: rebuilding the same key reproduces the
+    // same training set; the request seed must not leak in, or two
+    // clients asking the same question would train different models.
+    const uint64_t seed =
+        combineSeed(options.tuning.seed, stableHash(key.toString()));
+    std::optional<core::TrainedModel> trained;
     double backoff = options.retryBackoffInitialSec;
     for (int attempt = 0;; ++attempt) {
         if (cancel.cancelled())
             throw DeadlineExpired();
         try {
             maybeInjectBuildFault();
-            return buildModel(workload, key, cancel);
+            trained = core::train(
+                *sim, workload,
+                bandTrainingSizes(key.sizeBand,
+                                  options.tuning.collect.datasetCount),
+                options.tuning, seed, seed, core::ModelKind::HM, true,
+                options.parallelWithinRequest ? &pool : nullptr, &cancel);
+            break;
         } catch (const TransientModelError &) {
             if (attempt >= options.modelBuildMaxRetries)
                 throw;
@@ -520,8 +496,28 @@ TuningService::buildModelWithRetry(const workloads::Workload &workload,
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(sleep_sec));
         }
-        backoff *= options.retryBackoffMultiplier;
+        backoff *= kRetryBackoffMultiplier;
     }
+    if (!trained)
+        throw DeadlineExpired();
+    registry.counter("models.built").increment();
+    auto entry = std::make_shared<const CachedModel>(std::move(*trained));
+
+    if (!options.snapshotDir.empty()) {
+        // Persist the freshly built model so a restarted process warms
+        // up from disk instead of re-collecting. Milliseconds of disk
+        // on a build that took whole simulated hours; best-effort.
+        std::string persistError;
+        if (ModelCache::writeSnapshot(options.snapshotDir, key, *entry,
+                                      &persistError)) {
+            registry.counter("snapshot.saved").increment();
+        } else {
+            registry.counter("snapshot.save_failed").increment();
+            warn("snapshot of " + key.toString() + " failed: " +
+                 persistError);
+        }
+    }
+    return entry;
 }
 
 void
@@ -572,66 +568,6 @@ TuningService::degrade(const TuneRequest &request, TuneResponse response,
                                 0.0, reason);
     obs::FlightRecorder::instance().requestDump("degraded");
     return response;
-}
-
-std::shared_ptr<const CachedModel>
-TuningService::buildModel(const workloads::Workload &workload,
-                          const ModelKey &key,
-                          const CancelToken &cancel)
-{
-    Executor *executor =
-        options.parallelWithinRequest ? &pool : nullptr;
-
-    core::CollectOptions copt = options.tuning.collect;
-    // One stream per cache key: rebuilding the same key reproduces the
-    // same training set; the request seed must not leak in, or two
-    // clients asking the same question would train different models.
-    copt.seed = combineSeed(options.tuning.seed,
-                            stableHash(key.toString()));
-    copt.executor = executor;
-
-    auto entry = std::make_shared<CachedModel>();
-    {
-        obs::ScopedSpan collectPhase("phase.collect");
-        if (collectPhase.active())
-            collectPhase.attr("band", static_cast<int64_t>(key.sizeBand));
-        core::Collector collector(*sim, workload);
-        const auto sizes = bandTrainingSizes(key.sizeBand,
-                                             copt.datasetCount);
-        auto collected = collector.collectAtSizes(sizes,
-                                                  copt.runsPerDataset,
-                                                  copt.seed, copt.sampling,
-                                                  executor);
-        entry->vectors = std::move(collected.vectors);
-        entry->overhead.collectingHours =
-            collected.simulatedClusterSec / 3600.0;
-        entry->overhead.trainingRuns = entry->vectors.size();
-    }
-
-    if (cancel.cancelled())
-        throw DeadlineExpired();
-
-    {
-        obs::ScopedSpan modelPhase("phase.model");
-        // The deadline stops HM refinement between rounds; whatever
-        // order it reached is still a usable (cacheable) model.
-        ml::HmParams hp = options.tuning.hm;
-        hp.cancel = &cancel;
-        auto report = core::buildAndValidate(core::ModelKind::HM,
-                                             entry->vectors, hp, true,
-                                             copt.seed);
-        entry->model = std::shared_ptr<const ml::Model>(
-            std::move(report.model));
-        entry->compiled = std::shared_ptr<const ml::FlatEnsemble>(
-            entry->model->compile());
-        entry->overhead.modelingSec = report.trainWallSec;
-        entry->modelErrorPct = report.testErrorPct;
-        if (modelPhase.active())
-            modelPhase.attr("test_error_pct", entry->modelErrorPct);
-    }
-
-    registry.counter("models.built").increment();
-    return entry;
 }
 
 void

@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "dac/tuner.h"
+#include "dac/pipeline.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -77,10 +77,8 @@ struct ServiceOptions
     /** Transient model-build failures retried (with backoff) before
      *  the request degrades to the expert configuration. */
     int modelBuildMaxRetries = 2;
-    /** First retry backoff, seconds. */
+    /** First retry backoff, seconds; doubles on every retry. */
     double retryBackoffInitialSec = 0.05;
-    /** Backoff growth per retry (exponential). */
-    double retryBackoffMultiplier = 2.0;
     /** Backoff ceiling, seconds; also clipped to any deadline left. */
     double retryBackoffMaxSec = 1.0;
 
@@ -243,14 +241,15 @@ class TuningService final : public TuningBackend
      *  phase = pickup minus submitted). */
     TuneResponse process(const TuneRequest &request,
                          std::chrono::steady_clock::time_point submitted);
-    /** Build (collect + model) the cache entry for one request;
-     *  `cancel` stops HM refinement between rounds on expiry. */
+    /**
+     * The cache entry for `key`: core::train() at the band's training
+     * sizes, seeded from the key, behind bounded retry with
+     * exponential backoff (`retries_out` counts the transient failures
+     * absorbed), then persisted when snapshots are on. Throws
+     * DeadlineExpired when `cancel` fires before modeling starts; a
+     * later expiry only stops HM refinement between rounds.
+     */
     std::shared_ptr<const CachedModel> buildModel(
-        const workloads::Workload &workload, const ModelKey &key,
-        const CancelToken &cancel);
-    /** buildModel behind bounded retry with exponential backoff;
-     *  `retries_out` counts the transient failures absorbed. */
-    std::shared_ptr<const CachedModel> buildModelWithRetry(
         const workloads::Workload &workload, const ModelKey &key,
         const CancelToken &cancel, int &retries_out);
     /** Deterministic injected build fault (ServiceOptions::faults);

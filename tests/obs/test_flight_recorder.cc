@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,13 +140,18 @@ TEST(FlightRecorder, RecordsFromManyThreadsAllLand)
     const uint64_t before = recorder.recordCount();
     constexpr int kThreads = 4;
     constexpr int kPerThread = 500;
+    // No thread exits before all have recorded: an exited thread's
+    // ring is handed to the next thread that claims one, so only
+    // overlapping threads are guaranteed rings of their own.
+    std::latch allRecorded(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([t]() {
+        threads.emplace_back([t, &allRecorded]() {
             for (int i = 0; i < kPerThread; ++i)
                 FlightRecorder::record(
                     static_cast<uint64_t>(70000 + t),
                     FlightPhase::Search, 1e-6 * i);
+            allRecorded.arrive_and_wait();
         });
     }
     for (auto &thread : threads)
@@ -163,6 +170,39 @@ TEST(FlightRecorder, RecordsFromManyThreadsAllLand)
         }
     }
     EXPECT_GE(lanes.size(), 2u); // rings are per-thread
+}
+
+TEST(FlightRecorder, RingsOfExitedThreadsAreReused)
+{
+    // Threads that never overlap, as successive thread pools' workers
+    // are: each exiting thread hands its ring on to the next, so 16
+    // of them add at most one lane between them, and every record
+    // stays readable after its thread is gone.
+    auto &recorder = FlightRecorder::instance();
+    constexpr int kThreads = 16;
+    const auto start = std::chrono::steady_clock::now();
+    for (int t = 0; t < kThreads; ++t) {
+        std::thread([t]() {
+            FlightRecorder::record(static_cast<uint64_t>(60000 + t),
+                                   FlightPhase::QueueExit);
+        }).join();
+    }
+
+    // Only this run's records: younger than the test itself.
+    const double window = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    std::vector<uint32_t> lanes;
+    int seen = 0;
+    for (const auto &r : recorder.snapshot(window)) {
+        if (r.requestId < 60000 || r.requestId >= 60000 + kThreads)
+            continue;
+        ++seen;
+        if (std::find(lanes.begin(), lanes.end(), r.lane) == lanes.end())
+            lanes.push_back(r.lane);
+    }
+    EXPECT_EQ(seen, kThreads);
+    EXPECT_EQ(lanes.size(), 1u);
 }
 
 TEST(FlightRecorder, RingOverwritesOldestNotCrash)

@@ -47,30 +47,21 @@ sampleImage()
     auto model = std::make_unique<ml::LogTargetModel>(
         std::make_unique<ml::GradientBoost>(params));
     model->train(data);
-    const std::unique_ptr<ml::FlatEnsemble> compiled = model->compile();
-
-    std::vector<core::PerfVector> vectors(3);
-    for (size_t i = 0; i < vectors.size(); ++i) {
-        vectors[i].timeSec = 5.0 + static_cast<double>(i);
-        vectors[i].config = {0.1, 0.2, 0.3};
-        vectors[i].dsizeBytes = GiB * static_cast<double>(i + 1);
+    core::TrainedModel trained;
+    trained.compiled = model->compile();
+    trained.model = std::move(model);
+    trained.vectors.resize(3);
+    for (size_t i = 0; i < trained.vectors.size(); ++i) {
+        trained.vectors[i].timeSec = 5.0 + static_cast<double>(i);
+        trained.vectors[i].config = {0.1, 0.2, 0.3};
+        trained.vectors[i].dsizeBytes = GiB * static_cast<double>(i + 1);
     }
+    trained.modelErrorPct = 7.5;
+    trained.overhead.trainingRuns = 24;
 
     const std::string workload = "TS";
     const std::string cluster = "paper-testbed";
-    core::TunerOverhead overhead;
-    overhead.trainingRuns = 24;
-
-    SnapshotView view;
-    view.workload = &workload;
-    view.cluster = &cluster;
-    view.sizeBand = 2;
-    view.modelErrorPct = 7.5;
-    view.overhead = &overhead;
-    view.vectors = &vectors;
-    view.model = model.get();
-    view.compiled = compiled.get();
-    return encodeSnapshot(view);
+    return encodeSnapshot({&workload, &cluster, 2, &trained});
 }
 
 TEST(SnapshotCorruption, EveryTruncationFailsCleanly)

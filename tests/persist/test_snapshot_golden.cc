@@ -83,32 +83,25 @@ goldenData(uint64_t seed)
 }
 
 std::vector<uint8_t>
-encodeGolden(const ml::Model &model, const std::string &workload)
+encodeGolden(std::shared_ptr<const ml::Model> model,
+             const std::string &workload)
 {
-    const std::unique_ptr<ml::FlatEnsemble> compiled = model.compile();
-    std::vector<core::PerfVector> vectors(2);
-    vectors[0] = {12.5, {0.1, 0.2, 0.3, 0.4}, 4e10};
-    vectors[1] = {18.25, {0.5, 0.6, 0.7, 0.8}, 8e10};
+    core::TrainedModel trained;
+    trained.compiled = model->compile();
+    trained.model = std::move(model);
+    trained.vectors.resize(2);
+    trained.vectors[0] = {12.5, {0.1, 0.2, 0.3, 0.4}, 4e10};
+    trained.vectors[1] = {18.25, {0.5, 0.6, 0.7, 0.8}, 8e10};
+    trained.modelErrorPct = 6.25;
+    trained.overhead.collectingHours = 1.5;
+    trained.overhead.modelingSec = 2.25;
+    trained.overhead.searchingSec = 3.125;
+    trained.overhead.trainingRuns = 40;
     const std::string cluster = "paper-testbed";
-    core::TunerOverhead overhead;
-    overhead.collectingHours = 1.5;
-    overhead.modelingSec = 2.25;
-    overhead.searchingSec = 3.125;
-    overhead.trainingRuns = 40;
-
-    SnapshotView view;
-    view.workload = &workload;
-    view.cluster = &cluster;
-    view.sizeBand = 3;
-    view.modelErrorPct = 6.25;
-    view.overhead = &overhead;
-    view.vectors = &vectors;
-    view.model = &model;
-    view.compiled = compiled.get();
-    return encodeSnapshot(view);
+    return encodeSnapshot({&workload, &cluster, 3, &trained});
 }
 
-std::unique_ptr<ml::Model>
+std::shared_ptr<const ml::Model>
 goldenGbrt()
 {
     ml::BoostParams params;
@@ -121,7 +114,7 @@ goldenGbrt()
     return model;
 }
 
-std::unique_ptr<ml::Model>
+std::shared_ptr<const ml::Model>
 goldenHm()
 {
     ml::HmParams params;
@@ -150,7 +143,7 @@ void
 regenerate()
 {
     const auto gbrt = goldenGbrt();
-    const auto gbrtImage = encodeGolden(*gbrt, "TS");
+    const auto gbrtImage = encodeGolden(gbrt, "TS");
     std::string error;
     ASSERT_TRUE(atomicWriteFile(kDataDir + "/golden_gbrt.dacsnap",
                                 gbrtImage.data(), gbrtImage.size(),
@@ -168,7 +161,7 @@ regenerate()
     }
 
     const auto hm = goldenHm();
-    const auto hmImage = encodeGolden(*hm, "KM");
+    const auto hmImage = encodeGolden(hm, "KM");
     ASSERT_TRUE(atomicWriteFile(kDataDir + "/golden_hm.dacsnap",
                                 hmImage.data(), hmImage.size(), &error))
         << error;

@@ -112,15 +112,17 @@ TEST(SnapshotRoundtrip, ThousandSeededCasesBitIdentical)
         Rng rng(seed * 977);
         const size_t rows = 24 + seed % 25; // 24..48 (HM needs >= 20)
 
-        auto model = makeModel(seed);
+        const std::shared_ptr<ml::Model> model = makeModel(seed);
         const DataSet data = trainingData(rows, seed * 31 + 7);
         model->train(data);
-        const std::shared_ptr<const ml::FlatEnsemble> compiled(
-            model->compile());
-        ASSERT_NE(compiled, nullptr);
+        core::TrainedModel trained;
+        trained.model = model;
+        trained.compiled = model->compile();
+        ASSERT_NE(trained.compiled, nullptr);
 
         // The training matrix doubles as the persisted vectors.
-        std::vector<core::PerfVector> vectors(rows);
+        std::vector<core::PerfVector> &vectors = trained.vectors;
+        vectors.resize(rows);
         for (size_t i = 0; i < rows; ++i) {
             const double *row = data.row(i);
             vectors[i].timeSec = data.target(i);
@@ -130,21 +132,14 @@ TEST(SnapshotRoundtrip, ThousandSeededCasesBitIdentical)
 
         const std::string workload = workloads[seed % 4];
         const std::string cluster = "paper-testbed";
-        core::TunerOverhead overhead;
-        overhead.collectingHours = rng.uniform();
-        overhead.modelingSec = rng.uniform();
-        overhead.searchingSec = rng.uniform();
-        overhead.trainingRuns = rows;
+        trained.overhead.collectingHours = rng.uniform();
+        trained.overhead.modelingSec = rng.uniform();
+        trained.overhead.searchingSec = rng.uniform();
+        trained.overhead.trainingRuns = rows;
+        trained.modelErrorPct = rng.uniform() * 15.0;
 
-        SnapshotView view;
-        view.workload = &workload;
-        view.cluster = &cluster;
-        view.sizeBand = static_cast<int>(seed % 6);
-        view.modelErrorPct = rng.uniform() * 15.0;
-        view.overhead = &overhead;
-        view.vectors = &vectors;
-        view.model = model.get();
-        view.compiled = compiled.get();
+        const SnapshotView view{&workload, &cluster,
+                                static_cast<int>(seed % 6), &trained};
 
         const auto image = encodeSnapshot(view);
         const auto result = decodeSnapshot(image.data(), image.size());
@@ -156,7 +151,7 @@ TEST(SnapshotRoundtrip, ThousandSeededCasesBitIdentical)
         EXPECT_EQ(snap.workload, workload);
         EXPECT_EQ(snap.cluster, cluster);
         EXPECT_EQ(snap.sizeBand, view.sizeBand);
-        EXPECT_EQ(bits(snap.modelErrorPct), bits(view.modelErrorPct));
+        EXPECT_EQ(bits(snap.modelErrorPct), bits(trained.modelErrorPct));
         ASSERT_EQ(snap.vectors.size(), vectors.size());
         for (size_t i = 0; i < vectors.size(); ++i) {
             EXPECT_EQ(bits(snap.vectors[i].timeSec),
